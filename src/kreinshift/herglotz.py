@@ -201,21 +201,24 @@ class HerglotzFamily:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _quad(eigs: np.ndarray, w: np.ndarray, z: complex) -> np.ndarray:
-        """W* diag(1/(eigs - z)) W, the resolvent sandwich."""
-        denom = eigs - z
+    def _quad(eigs: np.ndarray, w: np.ndarray, z) -> np.ndarray:
+        """W* diag(1/(eigs - z)) W, the resolvent sandwich.
+
+        A scalar z gives one matrix; a 1-D array of m points gives the
+        stack of shape (m, r, r).
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        denom = eigs - z[..., None]
         if denom.size and np.min(np.abs(denom)) < 1e-300:
-            raise PreconditionError(f"z={z!r} is an eigenvalue of the resolvent base")
-        return w.conj().T @ (w / denom[:, None])
+            raise PreconditionError("z is an eigenvalue of the resolvent base")
+        return w.conj().T @ (w / denom[..., None])
 
     def evaluate_phi(self, z) -> np.ndarray:
         """J + K*(H0 - z)^(-1) K on the full auxiliary block."""
-        z = complex(z)
         return self.fact.j_matrix() + self._quad(self.eig0.eigenvalues, self._w0, z)
 
     def evaluate_phi_plus(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H0, H+) on the + block."""
-        z = complex(z)
         npl = self.n_plus
         q = self._quad(self.eig0.eigenvalues, self._w0[:, :npl], z)
         return np.eye(npl, dtype=np.complex128) + q
@@ -223,34 +226,33 @@ class HerglotzFamily:
     def evaluate_phi_minus_tilde(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H+, H) on the - block; its negative
         has nonnegative imaginary part in the upper half-plane."""
-        z = complex(z)
         npl = self.n_plus
         q = self._quad(self.eig_plus.eigenvalues, self._wp[:, npl:], z)
         return np.eye(self.n_minus, dtype=np.complex128) - q
 
     # closed-form inverses, used as independent cross-checks ------------
+    @property
+    def _wh(self) -> np.ndarray:
+        """K in the eigenbasis of H; built on demand, since only these
+        cross-checks need it."""
+        return self.eig_h.vectors.conj().T @ self.fact.k
+
     def evaluate_phi_inverse(self, z) -> np.ndarray:
         """J - J K*(H - z)^(-1) K J."""
-        z = complex(z)
-        eig = eig_hermitian(self.h)
-        w = eig.vectors.conj().T @ self.fact.k
-        q = self._quad(eig.eigenvalues, w, z)
+        q = self._quad(self.eig_h.eigenvalues, self._wh, z)
         s = self.fact.j_signs
         return self.fact.j_matrix() - s[:, None] * q * s[None, :]
 
     def evaluate_phi_plus_inverse(self, z) -> np.ndarray:
         """I+ - K+*(H+ - z)^(-1) K+."""
-        z = complex(z)
         npl = self.n_plus
         q = self._quad(self.eig_plus.eigenvalues, self._wp[:, :npl], z)
         return np.eye(npl, dtype=np.complex128) - q
 
     def evaluate_phi_minus_tilde_inverse(self, z) -> np.ndarray:
         """I- + K-*(H - z)^(-1) K-."""
-        z = complex(z)
         npl = self.n_plus
-        w = self.eig_h.vectors.conj().T @ self.fact.k
-        q = self._quad(self.eig_h.eigenvalues, w[:, npl:], z)
+        q = self._quad(self.eig_h.eigenvalues, self._wh[:, npl:], z)
         return np.eye(self.n_minus, dtype=np.complex128) + q
 
 

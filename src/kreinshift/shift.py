@@ -6,7 +6,9 @@ Three independent routes to the shift function of a pair (H0, H0 + V):
   from the imaginary parts of the block logarithms (the primary output,
   since it alone yields the operators themselves);
 * determinant route: the tracked phase of det(I + V (H0 - z)^(-1)) as
-  z = lambda + i*eps descends to the real axis;
+  z = lambda + i*eta descends to the real axis, evaluated through Sylvester's
+  identity as det(J) det(phi(z)) from the spectrum of H0 and the r x r
+  transfer matrix alone;
 * counting route: the difference of eigenvalue counting functions, exact
   in finite dimensions and used as ground truth throughout.
 
@@ -18,9 +20,7 @@ out of the exclusion zones around eigenvalues.
 
 from __future__ import annotations
 
-import cmath
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -170,69 +170,53 @@ def step_integral(knots: np.ndarray, values: np.ndarray, antiderivative) -> comp
 # ----------------------------------------------------------------------
 # determinant route
 
-def xi_via_det(
-    fam: HerglotzFamily,
-    lam: float,
-    eps: float | None = None,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> float:
+def xi_via_det(fam: HerglotzFamily, lam: float) -> float:
     """Shift function via the phase of the perturbation determinant.
 
-    The winding is seeded at the starting height by the traces of the two
-    block logarithms (whose sum is the canonical logarithm of the
-    determinant), then continued down to the real axis with step halving
-    whenever the determinant phase moves by more than pi/2 between samples.
+    Sylvester's identity gives det(I + V (H0 - z)^(-1)) = det(J) det(phi(z))
+    with phi the r x r transfer matrix on the full block, so the route needs
+    only the spectrum of H0 and K.  At z = lam + i*eta_top, with
+    eta_top = 4 ||K||_F^2 (= 4 ||V||_1 for a sign factorization), the
+    logarithm of the determinant is below 1/3 in modulus, so its principal
+    phase is the canonical one.  The phase is then tracked down a ladder of
+    halving heights to a floor and on to the real axis, and every step whose
+    phase moves by more than pi/2 is bisected.  The ladder and each round of
+    bisections are one batched determinant each.  No eigenvalue of H or H+
+    and no matrix logarithm enters.
     """
     lam = float(lam)
     fam.check_off_spectrum(lam)
     if fam.rank == 0:
         return 0.0
-    sched = sched or EpsSchedule()
-    eps0 = float(eps) if eps is not None else sched.eps0
-    z0 = lam + 1j * eps0
-    seed = (
-        trace(logm_dissipative(fam.evaluate_phi_plus(z0), cfg)).imag
-        + trace(logm_antidissipative(fam.evaluate_phi_minus_tilde(z0), cfg)).imag
-    )
+    sign = (-1.0) ** fam.n_minus
 
-    eigs0 = fam.eig0.eigenvalues
-    eigs1 = fam.eig_h.eigenvalues
-
-    def det_at(e: float) -> complex:
-        z = lam + 1j * e
-        val = complex(np.prod((eigs1 - z) / (eigs0 - z)))
-        if val == 0:
+    def dets(heights: np.ndarray) -> np.ndarray:
+        d = sign * np.linalg.det(fam.evaluate_phi(lam + 1j * heights))
+        if np.any(d == 0):
             raise PreconditionError(
-                f"perturbation determinant vanished on the path at eps={e!r}"
+                f"perturbation determinant vanished on the path at lambda={lam!r}"
             )
-        return val
+        return d
 
-    floor = 1e-10 * max(1.0, abs(lam), fam.spectral_diameter())
-    targets: list[float] = []
-    e = eps0
-    while e > floor and len(targets) < 200:
-        e *= sched.factor
-        targets.append(e)
-    targets.append(0.0)
-
-    theta = seed
-    e_prev = eps0
-    d_prev = det_at(eps0)
-    pending = deque(targets)
+    top = 4.0 * frobenius(fam.fact.k) ** 2
+    eigs0 = fam.eig0.eigenvalues
+    floor = 1e-10 * max(1.0, abs(lam), float(eigs0[-1] - eigs0[0]), top)
+    steps = max(0, math.ceil(math.log2(top / floor)))
+    heights = np.append(top * 0.5 ** np.arange(steps + 1), 0.0)
+    d = dets(heights)
     refinements = 0
-    while pending:
-        e_next = pending[0]
-        d_next = det_at(e_next)
-        dphi = cmath.phase(d_next / d_prev)
-        if abs(dphi) > 0.5 * math.pi and (e_prev - e_next) > 1e-300 and refinements < 2000:
-            pending.appendleft(0.5 * (e_prev + e_next))
-            refinements += 1
-            continue
-        theta += dphi
-        e_prev, d_prev = e_next, d_next
-        pending.popleft()
-    return theta / math.pi
+    while True:
+        dphi = np.angle(d[1:] / d[:-1])
+        bad = np.flatnonzero(
+            (np.abs(dphi) > 0.5 * math.pi) & (heights[:-1] - heights[1:] > 1e-300)
+        )
+        if not bad.size or refinements >= 2000:
+            break
+        mid = 0.5 * (heights[bad] + heights[bad + 1])
+        heights = np.insert(heights, bad + 1, mid)
+        d = np.insert(d, bad + 1, dets(mid))
+        refinements += bad.size
+    return float(np.angle(d[0]) + np.sum(dphi)) / math.pi
 
 
 # ----------------------------------------------------------------------
@@ -642,7 +626,7 @@ def compute_profile(
         xp = float(trace(op_p).real)
         xm = float(trace(op_m).real)
         oracle = float(xi_counting_oracle(fam, lam))
-        dv = xi_via_det(fam, lam, None, sched, cfg) if include_det else math.nan
+        dv = xi_via_det(fam, lam) if include_det else math.nan
         return xp, xm, eigs_p, eigs_m, oracle, dv, (rec_p, rec_m)
 
     rows = ordered_map(point, [float(x) for x in grid], threads)

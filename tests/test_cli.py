@@ -132,6 +132,42 @@ class TestXiCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["nan:3:3", "0:inf:3", "a:b:3"])
+    def test_bad_grid_exit_2(self, matrix_files, capsys, grid):
+        code, out, err = run_cli(
+            capsys,
+            "xi",
+            "--h0",
+            matrix_files["h0_scalar"],
+            "--v",
+            matrix_files["v_scalar"],
+            f"--grid={grid}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad grid specification" in err and "Traceback" not in err
+
+    def test_det_mismatch_exit_1(self, matrix_files, capsys, monkeypatch):
+        from kreinshift import shift
+
+        def wrong(fam, lam):
+            return shift.xi_counting_oracle(fam, lam) + 0.5
+
+        monkeypatch.setattr(shift, "xi_via_det", wrong)
+        code, out, err = run_cli(
+            capsys,
+            "xi",
+            "--h0",
+            matrix_files["h0_scalar"],
+            "--v",
+            matrix_files["v_scalar"],
+            "--grid=0.4:0.6:2",
+        )
+        assert code == 1
+        assert "failure at lambda" in err
+        xi_det = [float(line.split(",")[5]) for line in out.strip().splitlines()[1:]]
+        assert xi_det == [1.5, 1.5]
+
     def test_out_file(self, matrix_files, tmp_path, capsys):
         dest = tmp_path / "profile.csv"
         code, out, _ = run_cli(

@@ -1,10 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
 from kreinshift.herglotz import HerglotzFamily, SignBlock
-from kreinshift.matkit import frobenius
+from kreinshift.matkit import HermitianEig, frobenius
 from kreinshift.shift import (
     auto_grid,
     chain_and_monotonicity,
@@ -126,7 +128,7 @@ class TestXiViaDet:
 
     def test_determinant_split_identity(self, random_family):
         # the two block determinants multiply to the full perturbation
-        # determinant, which seeds the phase tracking
+        # determinant
         fam = random_family
         z = 0.37 + 0.81j
         lhs = np.linalg.det(fam.evaluate_phi_plus(z)) * np.linalg.det(
@@ -134,6 +136,52 @@ class TestXiViaDet:
         )
         rhs = np.prod((fam.eig_h.eigenvalues - z) / (fam.eig0.eigenvalues - z))
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    def test_sylvester_identity(self, random_family):
+        # det(I + V (H0 - z)^(-1)) = det(J) det(phi(z)), pointwise and batched
+        fam = random_family
+        zs = np.array([0.37 + 0.81j, -1.2 + 1e-3j, 2.5 + 10.0j, 0.1 + 0.0j])
+        det_j = np.prod(fam.fact.j_signs)
+        expected = [
+            np.prod((fam.eig_h.eigenvalues - z) / (fam.eig0.eigenvalues - z)) for z in zs
+        ]
+        batched = fam.evaluate_phi(zs)
+        assert batched.shape == (zs.size, fam.rank, fam.rank)
+        for z, phi, want in zip(zs, batched, expected):
+            assert frobenius(phi - fam.evaluate_phi(z)) <= 1e-14 * frobenius(phi)
+            assert det_j * np.linalg.det(fam.evaluate_phi(z)) == pytest.approx(want, rel=1e-10)
+            assert det_j * np.linalg.det(phi) == pytest.approx(want, rel=1e-10)
+
+    def test_independent_of_perturbed_spectra(self, random_family):
+        # moving the cached spectra of H and H+ far away changes the
+        # counting oracle but not the determinant route
+        fam = random_family
+        grid = safe_grid(fam, 30)
+        shifted = copy.copy(fam)
+        for name in ("eig_h", "eig_plus"):
+            eig = getattr(fam, name)
+            setattr(shifted, name, HermitianEig(eig.eigenvalues + 1e3, eig.vectors))
+        assert any(
+            xi_counting_oracle(shifted, lam) != xi_counting_oracle(fam, lam) for lam in grid
+        )
+        for lam in grid:
+            assert xi_via_det(shifted, lam) == xi_via_det(fam, lam)
+
+    def test_negative_perturbation(self):
+        rng = np.random.default_rng(57)
+        h0 = random_hermitian(rng, 6)
+        fam = HerglotzFamily.from_potential(h0, -random_psd(rng, 6, 3))
+        assert fam.n_plus == 0 and fam.n_minus == 3
+        for lam in safe_grid(fam, 30):
+            assert xi_via_det(fam, lam) == pytest.approx(xi_counting_oracle(fam, lam), abs=1e-6)
+
+    def test_positive_root_family(self):
+        rng = np.random.default_rng(58)
+        h0 = random_hermitian(rng, 5)
+        fam = HerglotzFamily.from_positive_root(h0, random_psd(rng, 5))
+        assert fam.rank == fam.dim
+        for lam in safe_grid(fam, 30):
+            assert xi_via_det(fam, lam) == pytest.approx(xi_counting_oracle(fam, lam), abs=1e-6)
 
 
 class TestTraceFormula:
