@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
+from .herglotz import shift_projection
 from .matkit import (
     apply_spectral_function,
     as_matrix,
@@ -236,17 +237,18 @@ def derivative_identity_residual(
 # ----------------------------------------------------------------------
 # operator-valued averaging for V = s * K K*
 
-def _xi_op_scaled(h0_eig, w, lam: float, s: float) -> np.ndarray:
-    """Shift operator of the pair (H0, H0 + s*KK*) at lam: the projection
-    onto the negative spectral subspace of I + s*K*(H0-lam)^(-1)K."""
+def _xi_op_scaled(h0_eig, w, lams: np.ndarray, s: float) -> np.ndarray:
+    """Shift operators of the pair (H0, H0 + s*KK*) at the points lams,
+    stacked (m, r, r): the projections onto the negative spectral subspaces
+    of I + s*K*(H0-lam)^(-1)K."""
     r = w.shape[1]
-    denom = h0_eig - lam
-    if denom.size and np.min(np.abs(denom)) < 1e-300:
-        raise PreconditionError(f"lambda={lam!r} is an eigenvalue of the base matrix")
-    phi = np.eye(r, dtype=np.complex128) + s * (w.conj().T @ (w / denom[:, None]))
-    e = eig_hermitian(hermitian_part(phi))
-    sel = (e.eigenvalues < 0.0).astype(float)
-    return hermitian_part((e.vectors * sel) @ e.vectors.conj().T)
+    denom = h0_eig - lams[:, None]
+    hit = np.min(np.abs(denom), axis=-1) < 1e-300
+    if hit.any():
+        bad = float(lams[hit][0])
+        raise PreconditionError(f"lambda={bad!r} is an eigenvalue of the base matrix")
+    phi = np.eye(r, dtype=np.complex128) + s * (w.conj().T @ (w / denom[..., None]))
+    return shift_projection(phi).projection
 
 
 def _check_full_column_rank(k: np.ndarray) -> None:
@@ -299,13 +301,10 @@ def _operator_pairing(
     breakpoints = np.unique(np.concatenate([e0.eigenvalues] + ends))
 
     def integrand(lams):
-        out = np.empty((lams.size, r, r), dtype=np.complex128)
-        for i, lam in enumerate(lams):
-            inc = _xi_op_scaled(e0.eigenvalues, w0, float(lam), s2)
-            if s1 != 0.0:
-                inc = inc - _xi_op_scaled(e0.eigenvalues, w0, float(lam), s1)
-            out[i] = f(float(lam)) * inc
-        return out
+        inc = _xi_op_scaled(e0.eigenvalues, w0, lams, s2)
+        if s1 != 0.0:
+            inc = inc - _xi_op_scaled(e0.eigenvalues, w0, lams, s1)
+        return np.array([f(float(lam)) for lam in lams])[:, None, None] * inc
 
     if breakpoints.size < 2:
         rhs = np.zeros((r, r), dtype=np.complex128)
@@ -371,7 +370,8 @@ def operator_average_increment(
         return np.zeros((r, r), dtype=np.complex128)
     e0 = eig_hermitian(h0)
     w0 = e0.vectors.conj().T @ k
-    out = _xi_op_scaled(e0.eigenvalues, w0, float(lam), float(s2))
+    lams = np.array([float(lam)])
+    out = _xi_op_scaled(e0.eigenvalues, w0, lams, float(s2))
     if s1 != 0.0:
-        out = out - _xi_op_scaled(e0.eigenvalues, w0, float(lam), float(s1))
-    return out
+        out = out - _xi_op_scaled(e0.eigenvalues, w0, lams, float(s1))
+    return out[0]

@@ -3,8 +3,7 @@
 Each check draws its instances from a generator seeded by the suite seed
 plus a fixed offset, measures a residual, and compares it against the
 pinned bound.  Reports are plain text with fixed float formatting, so a
-given (suite, seed) pair produces byte-identical output on every run and
-at every thread count.
+given (suite, seed) pair produces byte-identical output on every run.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .oplog import (
     scalar_log,
     tr_log_det_bridge,
 )
-from .parallel import ordered_map
 from .shift import (
     chain_and_monotonicity,
     example_3_9,
@@ -263,20 +261,22 @@ def _trace_instances(seed: int, count: int = 20):
     return out
 
 
-def check_oracle_equivalence(seed: int, count: int = 20, threads: int | None = None) -> list:
+def check_oracle_equivalence(seed: int, count: int = 20) -> list:
     fams = _trace_instances(seed, count)
 
     def worst_for(fam):
         grid = safe_grid(fam, 50)
-        devs = [abs(xi_at(fam, lam) - xi_counting_oracle(fam, lam)) for lam in grid]
-        ints = [abs(xi_at(fam, lam) - round(xi_at(fam, lam))) for lam in grid]
         lo = float(np.min(fam.all_spectra()))
         hi = float(np.max(fam.all_spectra()))
         pad = 0.2 * fam.spectral_diameter()
-        outside = max(abs(xi_at(fam, lo - pad)), abs(xi_at(fam, hi + pad)))
-        return max(devs), len(grid), max(ints), outside
+        # every point once: the grid, then one point beyond each end of the hull
+        xi = xi_at(fam, np.append(grid, [lo - pad, hi + pad]))
+        inside, outside = xi[: grid.size], np.abs(xi[grid.size :])
+        devs = np.abs(inside - xi_counting_oracle(fam, grid))
+        ints = np.abs(inside - np.round(inside))
+        return float(np.max(devs)), grid.size, float(np.max(ints)), float(np.max(outside))
 
-    rows = ordered_map(worst_for, fams, threads)
+    rows = [worst_for(fam) for fam in fams]
     return [
         _line_max(
             "operator route vs counting oracle",
@@ -289,7 +289,7 @@ def check_oracle_equivalence(seed: int, count: int = 20, threads: int | None = N
     ]
 
 
-def check_trace_formula(seed: int, count: int = 10, z_per: int = 10, threads: int | None = None) -> list:
+def check_trace_formula(seed: int, count: int = 10, z_per: int = 10) -> list:
     fams = _trace_instances(seed + 11, count)
     rng = np.random.default_rng(seed + 302)
     zs_per_fam = []
@@ -313,7 +313,7 @@ def check_trace_formula(seed: int, count: int = 10, z_per: int = 10, threads: in
             devs.append(trace_formula_residual(fam, z) / (1.0 + abs(lhs)))
         return max(devs)
 
-    rows = ordered_map(worst_for, list(zip(fams, zs_per_fam)), threads)
+    rows = [worst_for(pair) for pair in zip(fams, zs_per_fam)]
     return [
         _line_max(
             "resolvent trace formula relative residual",
@@ -324,14 +324,15 @@ def check_trace_formula(seed: int, count: int = 10, z_per: int = 10, threads: in
     ]
 
 
-def check_det_route(seed: int, count: int = 20, threads: int | None = None) -> list:
+def check_det_route(seed: int, count: int = 20) -> list:
     fams = _trace_instances(seed, count)  # same instances as the oracle check
 
     def worst_for(fam):
         grid = safe_grid(fam, 50)
-        return max(abs(xi_via_det(fam, lam) - xi_counting_oracle(fam, lam)) for lam in grid)
+        det = np.array([xi_via_det(fam, lam) for lam in grid])
+        return float(np.max(np.abs(det - xi_counting_oracle(fam, grid))))
 
-    rows = ordered_map(worst_for, fams, threads)
+    rows = [worst_for(fam) for fam in fams]
     return [
         _line_max(
             "determinant route vs counting oracle", rows, 1e-6, f"{count} instances"
@@ -408,7 +409,7 @@ def check_chain(seed: int, count: int = 10) -> list:
 # ----------------------------------------------------------------------
 # averaging suites
 
-def check_averaging(seed: int, count: int = 10, threads: int | None = None) -> list:
+def check_averaging(seed: int, count: int = 10) -> list:
     rng = np.random.default_rng(seed + 501)
     cases = []
     for _ in range(count):
@@ -430,7 +431,7 @@ def check_averaging(seed: int, count: int = 10, threads: int | None = None) -> l
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
         return worst
 
-    rows = ordered_map(residual_for, cases, threads)
+    rows = [residual_for(case) for case in cases]
 
     # positive direction, nonnegative test function: pairing must be >= 0
     h0 = random_hermitian(rng, 4)
@@ -536,7 +537,7 @@ def check_example39(seed: int = 0) -> list:
 SUITE_NAMES = ("logm", "herglotz", "trace", "chain", "average", "op-average", "example39")
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int | None = None) -> SuiteReport:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
     rep = SuiteReport(name=name, seed=seed)
     if name == "logm":
         rep.lines += check_logm_roundtrip(seed)
@@ -550,15 +551,15 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int | None = None) -
         rep.lines += check_decay(seed)
         rep.lines += check_reconstruction(seed)
     elif name == "trace":
-        rep.lines += check_oracle_equivalence(seed, threads=threads)
-        rep.lines += check_trace_formula(seed, threads=threads)
-        rep.lines += check_det_route(seed, threads=threads)
+        rep.lines += check_oracle_equivalence(seed)
+        rep.lines += check_trace_formula(seed)
+        rep.lines += check_det_route(seed)
         rep.lines += check_trace_identities(seed)
         rep.lines += check_fd_identities(seed)
     elif name == "chain":
         rep.lines += check_chain(seed)
     elif name == "average":
-        rep.lines += check_averaging(seed, threads=threads)
+        rep.lines += check_averaging(seed)
         rep.lines += check_derivative_identity(seed)
     elif name == "op-average":
         rep.lines += check_op_average(seed)
@@ -569,5 +570,5 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int | None = None) -
     return rep
 
 
-def run_suites(names, seed: int = DEFAULT_SEED, threads: int | None = None) -> list:
-    return [run_suite(n, seed, threads) for n in names]
+def run_suites(names, seed: int = DEFAULT_SEED) -> list:
+    return [run_suite(n, seed) for n in names]

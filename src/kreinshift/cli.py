@@ -8,16 +8,19 @@ Commands:
   op-average  operator-valued averaging identity for a factor K
 
 Exit codes: 0 success, 1 mathematical check or convergence failure,
-2 usage or parse error.  KREIN_SHIFT_THREADS caps parallel evaluation
-(0 or unset picks the CPU count); output is identical at any setting.
+2 usage or parse error: a malformed flag, grid or test function, an
+unreadable or non-Hermitian matrix file, a non-positive tolerance or
+starting height, or an output file that cannot be opened.  Every grid is
+evaluated in one process and thread, as batched numpy arrays;
+KREIN_SHIFT_THREADS is ignored.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +33,7 @@ from .averaging import (
     operator_increment_residual,
 )
 from .checks import DEFAULT_SEED, SUITE_NAMES, run_suites
-from .errors import ConvergenceError, KreinShiftError, PreconditionError
+from .errors import KreinShiftError, ParseError, PreconditionError
 from .herglotz import EpsSchedule, HerglotzFamily
 from .io import format_float, read_matrix, write_csv
 from .matkit import expm, frobenius, hermitian_part, is_hermitian
@@ -42,43 +45,32 @@ EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class RunConfig:
-    eps0: float = 1e-2
-    conv_tol: float = 1e-9
-    rel_tol: float = 1e-11
-    rank_tol: float = 1e-12
-    seed: int = DEFAULT_SEED
-
-    def schedule(self) -> EpsSchedule:
-        return EpsSchedule(eps0=self.eps0, conv_tol=self.conv_tol)
-
-    def quadrature(self) -> QuadratureConfig:
-        return QuadratureConfig(rel_tol=self.rel_tol)
-
 
 def _parse_grid(spec: str, fam: HerglotzFamily) -> np.ndarray:
     if spec.lower() == "auto":
         return auto_grid(fam)
     parts = spec.split(":")
     if len(parts) != 3:
-        raise _Usage(f"grid must be min:max:count or auto, got {spec!r}")
+        raise ParseError(f"grid must be min:max:count or auto, got {spec!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise _Usage(f"bad grid specification {spec!r}: {exc}") from exc
+        raise ParseError(f"bad grid specification {spec!r}: {exc}") from exc
     if not (math.isfinite(lo) and math.isfinite(hi)) or count < 1 or hi < lo:
-        raise _Usage(f"bad grid specification {spec!r}")
+        raise ParseError(f"bad grid specification {spec!r}")
     return np.linspace(lo, hi, count)
 
 
 def _parse_srange(spec: str) -> tuple[float, float]:
     parts = spec.split(":")
     if len(parts) != 2:
-        raise PreconditionError(f"s-range must be a:b, got {spec!r}")
-    a, b = float(parts[0]), float(parts[1])
+        raise ParseError(f"s-range must be a:b, got {spec!r}")
+    try:
+        a, b = float(parts[0]), float(parts[1])
+    except ValueError as exc:
+        raise ParseError(f"bad s-range {spec!r}: {exc}") from exc
     if not a < b:
-        raise PreconditionError(f"s-range must be increasing, got {spec!r}")
+        raise ParseError(f"s-range must be increasing, got {spec!r}")
     return a, b
 
 
@@ -94,8 +86,8 @@ def _parse_f(spec: str) -> TestFunction:
             re, im = (float(x) for x in payload.split(","))
             return TestFunction.resolvent_im(complex(re, im))
     except ValueError as exc:
-        raise PreconditionError(f"cannot parse test function {spec!r}: {exc}") from exc
-    raise PreconditionError(
+        raise ParseError(f"cannot parse test function {spec!r}: {exc}") from exc
+    raise ParseError(
         f"unknown test function {spec!r} (want poly:c0,c1,... | gauss:mu,sigma | imres:re,im)"
     )
 
@@ -103,85 +95,64 @@ def _parse_f(spec: str) -> TestFunction:
 def _load_hermitian(path, what: str) -> np.ndarray:
     m, _ = read_matrix(path)
     if not is_hermitian(m, 1e-10):
-        raise PreconditionError(f"{what} matrix in {path} is not Hermitian")
+        raise ParseError(f"{what} matrix in {path} is not Hermitian")
     return hermitian_part(m)
 
 
-def _out_stream(args):
-    return open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, or standard output when it is not given."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        stream = open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot open output file {args.out}: {exc.strerror}") from exc
+    with stream:
+        yield stream
 
 
 # ----------------------------------------------------------------------
 
 
 def _cmd_xi(args) -> int:
+    sched, quad = _config_from(args)
     h0 = _load_hermitian(args.h0, "base")
     v = _load_hermitian(args.v, "perturbation")
     if h0.shape != v.shape:
-        raise _Usage(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v.shape[0]}")
-    cfg = _config_from(args)
-    fam = HerglotzFamily.from_potential(h0, v, cfg.rank_tol)
+        raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v.shape[0]}")
+    fam = HerglotzFamily.from_potential(h0, v, args.rank_tol)
     grid = _parse_grid(args.grid, fam)
-    profile = compute_profile(
-        fam, grid, cfg.schedule(), cfg.quadrature(), include_det=True
-    )
+    profile = compute_profile(fam, grid, sched, quad, include_det=True)
 
-    header = [
-        "lambda",
-        "xi",
-        "xi_plus",
-        "xi_minus",
-        "xi_oracle",
-        "xi_det",
-        "xiop_plus_1",
-        "xiop_plus_2",
-        "xiop_plus_3",
-        "xiop_minus_1",
-        "xiop_minus_2",
-        "xiop_minus_3",
-        "converged",
-    ]
+    columns = ("grid", "xi", "xi_plus", "xi_minus", "xi_oracle", "xi_det")
+    header = ["lambda", *columns[1:]]
+    header += [f"xiop_{block}_{k}" for block in ("plus", "minus") for k in (1, 2, 3)]
+    header.append("converged")
 
     def top3(eigs):
         vals = [format_float(x) for x in eigs[:3]]
         return vals + [""] * (3 - len(vals))
 
-    rows = []
-    for i, lam in enumerate(profile.grid):
-        rows.append(
-            [format_float(lam)]
-            + [
-                format_float(x)
-                for x in (
-                    profile.xi[i],
-                    profile.xi_plus[i],
-                    profile.xi_minus[i],
-                    profile.xi_oracle[i],
-                    profile.xi_det[i],
-                )
-            ]
-            + top3(profile.xi_op_plus_eigs[i])
-            + top3(profile.xi_op_minus_eigs[i])
-            + ["1" if profile.converged[i] else "0"]
-        )
-    stream = _out_stream(args)
-    try:
-        write_csv(stream, header, rows)
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
-
-    def agrees(x, oracle):
-        return math.isfinite(x) and abs(x - oracle) < 1e-6
-
-    bad = [
-        float(profile.grid[i])
-        for i in range(len(profile.grid))
-        if not profile.converged[i]
-        or not agrees(profile.xi[i], profile.xi_oracle[i])
-        or not agrees(profile.xi_det[i], profile.xi_oracle[i])
+    rows = [
+        [format_float(getattr(profile, c)[i]) for c in columns]
+        + top3(profile.xi_op_plus_eigs[i])
+        + top3(profile.xi_op_minus_eigs[i])
+        + ["1" if profile.converged[i] else "0"]
+        for i in range(profile.grid.size)
     ]
-    if bad:
+    with _output(args) as stream:
+        write_csv(stream, header, rows)
+
+    # a non-finite value compares false, so it fails the row too
+    ok = (
+        np.asarray(profile.converged, dtype=bool)
+        & (np.abs(profile.xi - profile.xi_oracle) < 1e-6)
+        & (np.abs(profile.xi_det - profile.xi_oracle) < 1e-6)
+    )
+    bad = profile.grid[~ok]
+    if bad.size:
         print(
             "oracle or convergence failure at lambda: "
             + ", ".join(format_float(x) for x in bad),
@@ -192,16 +163,16 @@ def _cmd_xi(args) -> int:
 
 
 def _cmd_logm(args) -> int:
+    _, quad = _config_from(args)
     t, _ = read_matrix(args.t)
-    cfg = _config_from(args)
     branch = Branch.LN if args.branch == "ln" else Branch.LOG
     if branch is Branch.LN:
         # principal-branch diagnostic route through the eigendecomposition
         result = logm_oracle_diag(t, Branch.LN)
     elif args.anti:
-        result = logm_antidissipative(t, cfg.quadrature())
+        result = logm_antidissipative(t, quad)
     else:
-        result = logm_dissipative(t, cfg.quadrature())
+        result = logm_dissipative(t, quad)
     residual = frobenius(expm(result) - t) / max(frobenius(t), 1e-300)
     header = ["row", "col", "re", "im"]
     rows = [
@@ -209,13 +180,9 @@ def _cmd_logm(args) -> int:
         for i in range(result.shape[0])
         for j in range(result.shape[1])
     ]
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         write_csv(stream, header, rows)
         stream.write(f"# expm-roundtrip-relative-residual,{format_float(residual)}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK
 
 
@@ -223,14 +190,10 @@ def _cmd_check(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, seed=args.seed)
     overall = all(r.ok for r in reports)
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         for rep in reports:
             stream.write(rep.render() + "\n")
         stream.write(f"overall: {'PASS' if overall else 'FAIL'}\n")
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK if overall else EXIT_MATH
 
 
@@ -238,23 +201,19 @@ def _cmd_average(args) -> int:
     h0 = _load_hermitian(args.h0, "base")
     v1 = _load_hermitian(args.v, "path direction")
     if h0.shape != v1.shape:
-        raise _Usage(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v1.shape[0]}")
+        raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v1.shape[0]}")
     s1, s2 = _parse_srange(args.s_range)
     f = _parse_f(args.f)
     path = PerturbationPath(np.zeros_like(h0), v1, s1, s2)
     lhs = averaged_pairing_lhs(h0, path, f)
     rhs = averaged_pairing_rhs(h0, path, f)
     resid = abs(lhs - rhs)
-    stream = _out_stream(args)
-    try:
+    with _output(args) as stream:
         write_csv(
             stream,
             ["lhs", "rhs", "residual"],
             [[format_float(lhs), format_float(rhs), format_float(resid)]],
         )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
     return EXIT_OK if resid < 1e-4 * (1.0 + abs(lhs)) else EXIT_MATH
 
 
@@ -262,47 +221,35 @@ def _cmd_op_average(args) -> int:
     h0 = _load_hermitian(args.h0, "base")
     k, _ = read_matrix(args.k)
     if k.shape[0] != h0.shape[0]:
-        raise _Usage(f"dimension mismatch: H0 is {h0.shape[0]}, K has {k.shape[0]} rows")
+        raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, K has {k.shape[0]} rows")
     f = _parse_f(args.f)
     if args.s_range:
         s1, s2 = _parse_srange(args.s_range)
         rep = operator_increment_residual(h0, k, s1, s2, f)
     else:
         rep = operator_average_residual(h0, k, f)
-    stream = _out_stream(args)
-    try:
-        write_csv(
-            stream,
-            ["residual", "lhs_fro", "rhs_fro"],
-            [
-                [
-                    format_float(rep.residual),
-                    format_float(frobenius(rep.lhs)),
-                    format_float(frobenius(rep.rhs)),
-                ]
-            ],
-        )
-    finally:
-        if stream is not sys.stdout:
-            stream.close()
+    row = [rep.residual, frobenius(rep.lhs), frobenius(rep.rhs)]
+    with _output(args) as stream:
+        write_csv(stream, ["residual", "lhs_fro", "rhs_fro"], [[format_float(x) for x in row]])
     return EXIT_OK if rep.residual < 1e-4 else EXIT_MATH
 
 
 # ----------------------------------------------------------------------
 
 
-class _Usage(Exception):
-    pass
-
-
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        eps0=args.eps0,
-        conv_tol=args.conv_tol,
-        rel_tol=args.rel_tol,
-        rank_tol=args.rank_tol,
-        seed=getattr(args, "seed", DEFAULT_SEED),
-    )
+def _config_from(args) -> tuple[EpsSchedule, QuadratureConfig]:
+    """The eps schedule and the quadrature settings of the command line; a
+    value that either of them refuses, or a rank tolerance that is not
+    positive, is a usage error."""
+    if not args.rank_tol > 0:
+        raise ParseError("rank_tol must be positive")
+    try:
+        return (
+            EpsSchedule(eps0=args.eps0, conv_tol=args.conv_tol),
+            QuadratureConfig(rel_tol=args.rel_tol),
+        )
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _add_common(p) -> None:
@@ -373,28 +320,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _Usage as exc:
+    except KreinShiftError as exc:
+        # malformed input is a usage error; violated mathematical bounds
+        # and exhausted iterations are math failures
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ConvergenceError, KreinShiftError) as exc:
-        # parse-level problems (bad files, malformed flags) are usage errors;
-        # violated mathematical bounds are math failures
-        if isinstance(exc, PreconditionError) and _is_parse_error(exc):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-
-
-def _is_parse_error(exc: Exception) -> bool:
-    text = str(exc)
-    markers = (
-        "matrix file",
-        "cannot parse",
-        "s-range must be",
-        "unknown test function",
-    )
-    return any(m in text for m in markers)
+        return EXIT_USAGE if isinstance(exc, ParseError) else EXIT_MATH
 
 
 if __name__ == "__main__":

@@ -10,6 +10,12 @@ class PreconditionError(KreinShiftError, ValueError):
     exclusion zone, conditioning)."""
 
 
+class ParseError(PreconditionError):
+    """Malformed user input: an unreadable or ill-formed matrix file, a
+    non-Hermitian matrix where one is required, a bad command-line value or
+    an output file that cannot be opened."""
+
+
 class ConvergenceError(KreinShiftError, RuntimeError):
     """An iteration or panel budget was exhausted before the requested
     tolerance was met."""

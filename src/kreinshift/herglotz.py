@@ -12,7 +12,10 @@ where H+ = H0 + K+ K+*.  The first two have nonnegative imaginary part in
 the upper half-plane, the third nonpositive.  Their logarithms at lambda+i0
 carry the spectral shift data; off the real spectra the boundary value is an
 honest limit and is computed directly, otherwise a vertical epsilon schedule
-with Richardson extrapolation is used.
+with Richardson extrapolation is used.  There the boundary matrix is
+invertible Hermitian and the shift operator is the projection onto its
+negative eigenspace; ``shift_projection`` computes it for a whole stack of
+boundary matrices with one batched eigendecomposition.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,23 +38,20 @@ from .matkit import (
     hermitian_part,
     sign_factorization,
 )
-from .oplog import (
-    Branch,
-    QuadratureConfig,
-    logm_antidissipative,
-    logm_dissipative,
-    scalar_log,
-)
+from .oplog import QuadratureConfig, logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
     "EpsSchedule",
     "ConvergenceRecord",
     "HerglotzFamily",
+    "ShiftProjection",
+    "shift_projection",
     "boundary_log",
 ]
 
 EXCLUSION_RTOL = 1e-9
+SINGULAR_RTOL = 1e-12
 
 
 class SignBlock(enum.Enum):
@@ -73,10 +74,12 @@ class EpsSchedule:
     conv_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.eps0 <= 0:
+        if not self.eps0 > 0:
             raise PreconditionError("eps0 must be positive")
         if not 0.0 < self.factor < 1.0:
             raise PreconditionError("factor must lie in (0, 1)")
+        if not self.conv_tol > 0:
+            raise PreconditionError("conv_tol must be positive")
 
 
 DEFAULT_SCHEDULE = EpsSchedule()
@@ -182,21 +185,27 @@ class HerglotzFamily:
     def exclusion_width(self) -> float:
         return EXCLUSION_RTOL * self.spectral_diameter()
 
-    def check_off_spectrum(self, lam: float, which: SignBlock | None = None) -> None:
-        """Raise if lam sits inside the exclusion zone of the spectra that
-        the requested boundary value depends on (all three when ``which`` is
-        None)."""
+    def near_spectrum(self, lam, which: SignBlock | None = None) -> np.ndarray:
+        """Whether each point of lam sits inside the exclusion zone of the
+        spectra that the requested boundary value depends on (all three when
+        ``which`` is None)."""
         if which is SignBlock.PLUS:
             eigs = self.eig0.eigenvalues
         elif which is SignBlock.MINUS:
             eigs = np.concatenate([self.eig0.eigenvalues, self.eig_plus.eigenvalues])
         else:
             eigs = self.all_spectra()
-        width = self.exclusion_width()
-        if eigs.size and float(np.min(np.abs(eigs - lam))) <= width:
+        lam = np.asarray(lam, dtype=float)[..., None]
+        return np.any(np.abs(eigs - lam) <= self.exclusion_width(), axis=-1)
+
+    def check_off_spectrum(self, lam, which: SignBlock | None = None) -> None:
+        """Raise if lam (a point or an array of points) sits inside an
+        exclusion zone; see ``near_spectrum``."""
+        near = self.near_spectrum(lam, which)
+        if near.any():
             raise PreconditionError(
-                f"lambda={lam!r} lies within the exclusion zone "
-                f"({width:.3e}) of an eigenvalue"
+                f"lambda={float(np.asarray(lam, dtype=float)[near][0])!r} lies within "
+                f"the exclusion zone ({self.exclusion_width():.3e}) of an eigenvalue"
             )
 
     # ------------------------------------------------------------------
@@ -256,18 +265,46 @@ class HerglotzFamily:
         return np.eye(self.n_minus, dtype=np.complex128) + q
 
 
+class ShiftProjection(NamedTuple):
+    """Per matrix of a stack (m, r, r): the projection onto the negative
+    eigenspace, which off the real spectra is the shift operator
+    pi^(-1) Im log of the boundary value; its rank; whether the matrix is
+    numerically singular (an eigenvalue of modulus at most SINGULAR_RTOL *
+    max(1, largest modulus)), where it is not; and the eigendecomposition
+    (eigenvalues ascending) it was read from."""
+
+    projection: np.ndarray
+    rank: np.ndarray
+    singular: np.ndarray
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+
+
+def shift_projection(stack) -> ShiftProjection:
+    """Shift projections of a stack of Hermitian matrices of shape (m, r, r),
+    from one batched eigendecomposition of their Hermitian parts."""
+    m = np.asarray(stack, dtype=np.complex128)
+    w, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    absw = np.abs(w)
+    scale = np.maximum(1.0, absw.max(axis=-1, initial=0.0))
+    singular = np.any(absw <= SINGULAR_RTOL * scale[..., None], axis=-1)
+    neg = w < 0.0
+    p = (u * neg[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    p = 0.5 * (p + p.conj().swapaxes(-1, -2))
+    return ShiftProjection(p, np.count_nonzero(neg, axis=-1), singular, w, u)
+
+
 def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
-    """Spectral-calculus log of the Hermitian boundary matrix, or None when
-    it is numerically singular."""
-    e = eig_hermitian(m0)
-    w = e.eigenvalues
-    if w.size and np.min(np.abs(w)) <= 1e-12 * max(1.0, float(np.max(np.abs(w)))):
+    """Spectral-calculus log of the Hermitian boundary matrix,
+    log|M| + i*pi*P with P its shift projection (conjugated on the - block),
+    or None when it is numerically singular."""
+    sp = shift_projection(m0[None])
+    if sp.singular[0]:
         return None
-    if which is SignBlock.PLUS:
-        vals = np.array([scalar_log(x, Branch.LOG) for x in w], dtype=np.complex128)
-    else:
-        vals = np.conj([scalar_log(x, Branch.LOG) for x in w]).astype(np.complex128)
-    return (e.vectors * vals) @ e.vectors.conj().T
+    u = sp.vectors[0]
+    log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
+    sign = 1.0 if which is SignBlock.PLUS else -1.0
+    return log_abs + (sign * math.pi * 1j) * sp.projection[0]
 
 
 def boundary_log(
@@ -305,7 +342,7 @@ def boundary_log(
         )
 
     if route in ("auto", "direct"):
-        val = _direct_boundary_log(hermitian_part(evaluate(lam)), which)
+        val = _direct_boundary_log(evaluate(lam), which)
         if val is not None:
             return val, ConvergenceRecord("direct", 0, 0.0, True)
         if route == "direct":

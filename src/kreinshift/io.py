@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ParseError, PreconditionError
 
 __all__ = ["read_matrix", "write_matrix", "format_float", "write_csv"]
 
@@ -43,25 +43,26 @@ def read_matrix(path) -> tuple[np.ndarray, str | None]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise PreconditionError(f"cannot parse matrix file {path}: {exc}") from exc
+        raise ParseError(f"cannot parse matrix file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
-        raise PreconditionError(f"matrix file {path} lacks dim/entries fields")
+        raise ParseError(f"matrix file {path} lacks dim/entries fields")
     dim = doc["dim"]
     entries = doc["entries"]
     if not isinstance(dim, int) or dim < 1:
-        raise PreconditionError(f"matrix file {path}: dim must be a positive integer")
+        raise ParseError(f"matrix file {path}: dim must be a positive integer")
     if not isinstance(entries, list) or len(entries) != dim * dim:
-        raise PreconditionError(
+        raise ParseError(
             f"matrix file {path}: expected {dim * dim} entries, found "
             f"{len(entries) if isinstance(entries, list) else 'non-list'}"
         )
     vals = np.empty(dim * dim, dtype=np.complex128)
     for i, pair in enumerate(entries):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise PreconditionError(f"matrix file {path}: entry {i} is not a [re, im] pair")
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, (int, float)) for x in pair)):
+            raise ParseError(f"matrix file {path}: entry {i} is not a [re, im] pair of numbers")
         vals[i] = complex(float(pair[0]), float(pair[1]))
     if not np.all(np.isfinite(vals)):
-        raise PreconditionError(f"matrix file {path}: entries must be finite")
+        raise ParseError(f"matrix file {path}: entries must be finite")
     label = doc.get("label")
     return vals.reshape(dim, dim), (str(label) if label is not None else None)
 

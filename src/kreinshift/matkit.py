@@ -257,7 +257,7 @@ def sign_factorization(v, rank_tol: float = 1e-12) -> SignedFactorization:
     column i of K is sqrt(|w_i|) times the eigenvector, positives ordered
     by descending eigenvalue followed by negatives ascending.
     """
-    if rank_tol <= 0:
+    if not rank_tol > 0:
         raise PreconditionError("rank_tol must be positive")
     e = eig_hermitian(v)
     w = e.eigenvalues

@@ -80,7 +80,7 @@ class QuadratureConfig:
     max_panels: int = 1024
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise PreconditionError("rel_tol must be positive")
         if not 0.0 < self.split_fraction < 1.0:
             raise PreconditionError("split_fraction must lie in (0, 1)")

@@ -27,10 +27,12 @@ import numpy as np
 
 from .errors import PreconditionError
 from .herglotz import (
+    ConvergenceRecord,
     EpsSchedule,
     HerglotzFamily,
     SignBlock,
     boundary_log,
+    shift_projection,
 )
 from .matkit import (
     as_matrix,
@@ -42,7 +44,6 @@ from .matkit import (
     trace_norm,
 )
 from .oplog import QuadratureConfig, logm_antidissipative, logm_dissipative
-from .parallel import ordered_map
 from .quadrature import integrate_piecewise
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "ChainReport",
     "ExampleReport",
     "xi_operator",
-    "xi_operator_full",
     "xi_at",
     "xi_counting_oracle",
     "xi_via_det",
@@ -69,16 +69,54 @@ __all__ = [
 ]
 
 SNAP_RTOL = 1e-6
+# bytes of one stacked (points, dim, block) complex temporary of the batched
+# operator route; grids are evaluated in chunks that stay under it
+PROFILE_CHUNK_BYTES = 1 << 18
 
 
 # ----------------------------------------------------------------------
 # operator route
 
 
-def _xi_operator_with_record(fam, which, lam, sched=None, cfg=None, route="auto"):
-    l, rec = boundary_log(fam, which, lam, sched, cfg, route)
-    sign = 1.0 if which is SignBlock.PLUS else -1.0
-    return hermitian_part(sign * imaginary_part(l) / math.pi), rec
+def _chunks(fam: HerglotzFamily, count: int) -> list:
+    """Slices of ``count`` points whose stacked temporaries stay under
+    PROFILE_CHUNK_BYTES."""
+    per_point = 16 * fam.dim * max(fam.n_plus, fam.n_minus, 1)
+    size = max(1, PROFILE_CHUNK_BYTES // per_point)
+    return [slice(i, i + size) for i in range(0, max(count, 1), size)]
+
+
+def _block_operators(fam, which, lams, sched=None, cfg=None, route="auto"):
+    """Shift operators of one block at every point of the 1-D array lams,
+    stacked (m, b, b), and their convergence records.
+
+    One batched shift projection serves every point whose boundary matrix
+    is invertible; only the points it flags singular (every point for
+    route "eps") take the per-point eps route of ``boundary_log``.
+    """
+    if route not in ("auto", "direct", "eps"):
+        raise PreconditionError(f"unknown route {route!r}")
+    fam.check_off_spectrum(lams, which)
+    if which is SignBlock.PLUS:
+        block, evaluate, sign = fam.n_plus, fam.evaluate_phi_plus, 1.0
+    else:
+        block, evaluate, sign = fam.n_minus, fam.evaluate_phi_minus_tilde, -1.0
+    if block == 0:
+        empty = ConvergenceRecord("empty", 0, 0.0, True)
+        return np.zeros((lams.size, 0, 0), dtype=np.complex128), [empty] * lams.size
+    sp = shift_projection(evaluate(lams))
+    ops, todo = sp.projection, sp.singular | (route == "eps")
+    records = [ConvergenceRecord("direct", 0, 0.0, True)] * lams.size
+    for i in np.flatnonzero(todo):
+        # on route "direct", boundary_log raises at a singular point
+        point_route = "direct" if route == "direct" else "eps"
+        l, records[i] = boundary_log(fam, which, float(lams[i]), sched, cfg, point_route)
+        ops[i] = hermitian_part(sign * imaginary_part(l) / math.pi)
+    return ops, records
+
+
+def _traces(ops: np.ndarray) -> np.ndarray:
+    return np.trace(ops, axis1=-2, axis2=-1).real
 
 
 def xi_operator(
@@ -93,55 +131,47 @@ def xi_operator(
 
     Hermitian with spectrum in [0, 1] up to the boundary-value tolerance.
     """
-    op, _ = _xi_operator_with_record(fam, which, lam, sched, cfg, route)
-    return op
-
-
-def xi_operator_full(
-    fam: HerglotzFamily,
-    lam: float,
-    cfg: QuadratureConfig | None = None,
-) -> np.ndarray:
-    """Shift operator built from the full indefinite-block transfer matrix.
-
-    Exposed for exploration only: when V is indefinite this object carries
-    no asserted relation to the shift function (its blocks need not be
-    simultaneously tamed), so nothing downstream consumes it.
-    """
-    fam.check_off_spectrum(lam)
-    m0 = hermitian_part(fam.evaluate_phi(float(lam)))
-    l = logm_dissipative(m0, cfg)
-    return hermitian_part(imaginary_part(l) / math.pi)
+    ops, _ = _block_operators(fam, which, np.array([float(lam)]), sched, cfg, route)
+    return ops[0]
 
 
 def xi_at(
     fam: HerglotzFamily,
-    lam: float,
+    lam,
     sched: EpsSchedule | None = None,
     cfg: QuadratureConfig | None = None,
     route: str = "auto",
-) -> float:
-    """Shift function at lam via the operator route: tr of the + operator
-    minus tr of the - operator."""
-    plus = xi_operator(fam, SignBlock.PLUS, lam, sched, cfg, route)
-    minus = xi_operator(fam, SignBlock.MINUS, lam, sched, cfg, route)
-    return float(trace(plus).real - trace(minus).real)
+):
+    """Shift function via the operator route: tr of the + operator minus tr
+    of the - operator.  A scalar lam gives a float; an array of points gives
+    the array of values, evaluated in batched chunks as in
+    ``compute_profile``."""
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    vals = np.concatenate([
+        _traces(_block_operators(fam, SignBlock.PLUS, lams[s], sched, cfg, route)[0])
+        - _traces(_block_operators(fam, SignBlock.MINUS, lams[s], sched, cfg, route)[0])
+        for s in _chunks(fam, lams.size)
+    ])
+    return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
 # ----------------------------------------------------------------------
 # counting route
 
-def xi_counting_oracle(fam: HerglotzFamily, lam: float) -> int:
+def xi_counting_oracle(fam: HerglotzFamily, lam):
     """Exact integer shift: eigenvalues of H0 up to lam minus eigenvalues of
-    H up to lam.  The brute-force ground truth for everything else."""
-    lam = float(lam)
-    scale = fam.spectral_diameter()
-    for eigs in (fam.eig0.eigenvalues, fam.eig_h.eigenvalues):
-        if eigs.size and float(np.min(np.abs(eigs - lam))) <= 1e-12 * scale:
-            raise PreconditionError(f"lambda={lam!r} coincides with an eigenvalue")
-    n0 = int(np.count_nonzero(fam.eig0.eigenvalues <= lam))
-    n1 = int(np.count_nonzero(fam.eig_h.eigenvalues <= lam))
-    return n0 - n1
+    H up to lam.  The brute-force ground truth for everything else.  A
+    scalar lam gives an int; an array of points gives an integer array."""
+    lams = np.asarray(lam, dtype=float)
+    e0, eh = fam.eig0.eigenvalues, fam.eig_h.eigenvalues
+    dist = np.abs(np.concatenate([e0, eh]) - lams[..., None])
+    near = np.any(dist <= 1e-12 * fam.spectral_diameter(), axis=-1)
+    if near.any():
+        raise PreconditionError(f"lambda={float(lams[near][0])!r} coincides with an eigenvalue")
+    diff = np.count_nonzero(e0 <= lams[..., None], axis=-1) - np.count_nonzero(
+        eh <= lams[..., None], axis=-1
+    )
+    return int(diff) if np.ndim(diff) == 0 else diff
 
 
 def counting_steps(eigs0, eigs1) -> tuple[np.ndarray, np.ndarray]:
@@ -340,23 +370,11 @@ def chain_and_monotonicity(
     fam_back = HerglotzFamily.from_potential(h0 + v1, -v1, rank_tol)
     fams = (fam_sum, fam_1, fam_2, fam_12, fam_back)
 
-    pts = []
-    for lam in np.asarray(grid, dtype=float):
-        try:
-            for f in fams:
-                f.check_off_spectrum(float(lam))
-                xi_counting_oracle(f, float(lam))
-            pts.append(float(lam))
-        except PreconditionError:
-            continue
-    if not pts:
+    lams = np.asarray(grid, dtype=float)
+    pts = lams[~np.any([f.near_spectrum(lams) for f in fams], axis=0)]
+    if not pts.size:
         raise PreconditionError("no grid points clear the exclusion zones of all pairs")
 
-    chain = 0.0
-    antisym = 0.0
-    oracle = 0.0
-    mono_tot = -np.inf
-    mono_add = -np.inf
     tol_psd = 1e-12
     v2_minus_v1_psd = float(np.min(np.linalg.eigvalsh(hermitian_part(v2 - v1)))) >= -tol_psd * max(
         frobenius(v2 - v1), 1.0
@@ -364,26 +382,23 @@ def chain_and_monotonicity(
     v2_psd = float(np.min(np.linalg.eigvalsh(hermitian_part(v2)))) >= -tol_psd * max(
         frobenius(v2), 1.0
     )
-    for lam in pts:
-        vals = {}
-        for name, f in zip(("sum", "v1", "v2", "step", "back"), fams):
-            x = xi_at(f, lam, sched, cfg)
-            vals[name] = x
-            oracle = max(oracle, abs(x - xi_counting_oracle(f, lam)))
-        chain = max(chain, abs(vals["sum"] - vals["v1"] - vals["step"]))
-        antisym = max(antisym, abs(vals["v1"] + vals["back"]))
-        if v2_minus_v1_psd:
-            mono_tot = max(mono_tot, vals["v1"] - vals["v2"])
-        if v2_psd:
-            mono_add = max(mono_add, vals["v1"] - vals["sum"])
+    vals = {}
+    oracle = 0.0
+    for name, f in zip(("sum", "v1", "v2", "step", "back"), fams):
+        vals[name] = xi_at(f, pts, sched, cfg)
+        oracle = max(oracle, float(np.max(np.abs(vals[name] - xi_counting_oracle(f, pts)))))
 
     return ChainReport(
-        chain_residual=chain,
-        antisymmetry_residual=antisym,
+        chain_residual=float(np.max(np.abs(vals["sum"] - vals["v1"] - vals["step"]))),
+        antisymmetry_residual=float(np.max(np.abs(vals["v1"] + vals["back"]))),
         oracle_residual=oracle,
-        monotonicity_violation_totals=(mono_tot if v2_minus_v1_psd else None),
-        monotonicity_violation_added=(mono_add if v2_psd else None),
-        points_used=len(pts),
+        monotonicity_violation_totals=(
+            float(np.max(vals["v1"] - vals["v2"])) if v2_minus_v1_psd else None
+        ),
+        monotonicity_violation_added=(
+            float(np.max(vals["v1"] - vals["sum"])) if v2_psd else None
+        ),
+        points_used=int(pts.size),
     )
 
 
@@ -490,11 +505,8 @@ def herglotz_reconstruction_residual(
         return float(frobenius(target))
 
     def integrand(lams):
-        out = np.empty((lams.size, fam.n_plus, fam.n_plus), dtype=np.complex128)
-        for i, lam in enumerate(lams):
-            op = xi_operator(fam, SignBlock.PLUS, float(lam))
-            out[i] = op / (lam - z)
-        return out
+        ops, _ = _block_operators(fam, SignBlock.PLUS, np.asarray(lams, dtype=float))
+        return ops / (lams - z)[:, None, None]
 
     val, _ = integrate_piecewise(integrand, breakpoints, rel_tol, max_panels, abs_tol=1e-9)
     return float(frobenius(val - target))
@@ -531,17 +543,23 @@ def snap_grid(fam: HerglotzFamily, pts) -> np.ndarray:
     )
 
 
+def _distinct_spectra(fam: HerglotzFamily) -> np.ndarray:
+    """The sorted joint spectra, each value within 1e-12 of the spectral
+    diameter of the one kept before it dropped."""
+    eigs = np.sort(fam.all_spectra())
+    scale = fam.spectral_diameter()
+    keep = [float(eigs[0])]
+    for x in eigs[1:]:
+        if x - keep[-1] > 1e-12 * scale:
+            keep.append(float(x))
+    return np.asarray(keep)
+
+
 def auto_grid(fam: HerglotzFamily, margin: float = 0.05, points_per_gap: int = 1) -> np.ndarray:
     """Eigenvalue-derived grid: the joint spectra (snapped off their own
     exclusion zones), interior points per gap, and hull endpoints padded by
     the margin."""
-    eigs = np.sort(fam.all_spectra())
-    keep = [eigs[0]]
-    scale = fam.spectral_diameter()
-    for x in eigs[1:]:
-        if x - keep[-1] > 1e-12 * scale:
-            keep.append(float(x))
-    eigs = np.asarray(keep)
+    eigs = _distinct_spectra(fam)
     pad = margin * max(fam.spectral_diameter(), 1.0)
     pts = [eigs[0] - pad, eigs[-1] + pad]
     pts.extend(eigs)
@@ -554,13 +572,8 @@ def auto_grid(fam: HerglotzFamily, margin: float = 0.05, points_per_gap: int = 1
 def safe_grid(fam: HerglotzFamily, n_min: int = 50, margin: float = 0.05) -> np.ndarray:
     """At least n_min points clear of every exclusion zone: gap interiors of
     the joint spectra plus padded hull endpoints."""
-    eigs = np.sort(fam.all_spectra())
+    eigs = _distinct_spectra(fam)
     scale = fam.spectral_diameter()
-    keep = [float(eigs[0])]
-    for x in eigs[1:]:
-        if x - keep[-1] > 1e-12 * scale:
-            keep.append(float(x))
-    eigs = np.asarray(keep)
     excl = fam.exclusion_width()
     pad = margin * max(scale, 1.0)
     for k in range(1, 64):
@@ -608,36 +621,43 @@ def compute_profile(
     sched: EpsSchedule | None = None,
     cfg: QuadratureConfig | None = None,
     include_det: bool = False,
-    threads: int | None = None,
 ) -> ShiftProfile:
     """Evaluate the shift data over a grid (snapped off exclusion zones).
 
-    Points are independent; the evaluation is farmed out to a thread pool
-    and reassembled in grid order, so the result does not depend on the
-    thread count.
+    The grid is taken in chunks whose stacked temporaries stay under
+    PROFILE_CHUNK_BYTES.  Per chunk, phi_plus and phi_minus~ are built for
+    all points at once; one batched eigendecomposition per block gives the
+    shift operators as negative-eigenspace projections, and a second one
+    their eigenvalues.  Only points whose boundary matrix is numerically
+    singular take the per-point eps route.  The counting oracle is one
+    vectorized count per chunk; the determinant route (``include_det``)
+    runs per point.
     """
     grid = snap_grid(fam, grid)
-
-    def point(lam: float):
-        op_p, rec_p = _xi_operator_with_record(fam, SignBlock.PLUS, lam, sched, cfg)
-        op_m, rec_m = _xi_operator_with_record(fam, SignBlock.MINUS, lam, sched, cfg)
-        eigs_p = np.sort(np.linalg.eigvalsh(op_p))[::-1] if op_p.size else np.zeros(0)
-        eigs_m = np.sort(np.linalg.eigvalsh(op_m))[::-1] if op_m.size else np.zeros(0)
-        xp = float(trace(op_p).real)
-        xm = float(trace(op_m).real)
-        oracle = float(xi_counting_oracle(fam, lam))
-        dv = xi_via_det(fam, lam) if include_det else math.nan
-        return xp, xm, eigs_p, eigs_m, oracle, dv, (rec_p, rec_m)
-
-    rows = ordered_map(point, [float(x) for x in grid], threads)
+    cols = {key: [] for key in ("xp", "xm", "ep", "em", "oracle", "rp", "rm")}
+    for s in _chunks(fam, grid.size):
+        lams = grid[s]
+        ops_p, rec_p = _block_operators(fam, SignBlock.PLUS, lams, sched, cfg)
+        ops_m, rec_m = _block_operators(fam, SignBlock.MINUS, lams, sched, cfg)
+        cols["xp"].append(_traces(ops_p))
+        cols["xm"].append(_traces(ops_m))
+        cols["ep"].extend(np.linalg.eigvalsh(ops_p)[:, ::-1])
+        cols["em"].extend(np.linalg.eigvalsh(ops_m)[:, ::-1])
+        cols["oracle"].append(xi_counting_oracle(fam, lams))
+        cols["rp"].extend(rec_p)
+        cols["rm"].extend(rec_m)
+    xp = np.concatenate(cols["xp"])
+    xm = np.concatenate(cols["xm"])
     return ShiftProfile(
         grid=grid,
-        xi=np.asarray([r[0] - r[1] for r in rows]),
-        xi_plus=np.asarray([r[0] for r in rows]),
-        xi_minus=np.asarray([r[1] for r in rows]),
-        xi_op_plus_eigs=[r[2] for r in rows],
-        xi_op_minus_eigs=[r[3] for r in rows],
-        xi_oracle=np.asarray([r[4] for r in rows]),
-        xi_det=np.asarray([r[5] for r in rows]),
-        diagnostics=[r[6] for r in rows],
+        xi=xp - xm,
+        xi_plus=xp,
+        xi_minus=xm,
+        xi_op_plus_eigs=cols["ep"],
+        xi_op_minus_eigs=cols["em"],
+        xi_oracle=np.concatenate(cols["oracle"]).astype(float),
+        xi_det=np.asarray(
+            [xi_via_det(fam, lam) for lam in grid] if include_det else [math.nan] * grid.size
+        ),
+        diagnostics=list(zip(cols["rp"], cols["rm"])),
     )

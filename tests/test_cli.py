@@ -26,6 +26,7 @@ def matrix_files(tmp_path):
     put("k_one", np.ones((1, 1)))
     put("v39_1", np.array([[1.0, 0.4], [0.4, 1.0]]))
     put("h0_2", np.zeros((2, 2)))
+    put("nonherm2", np.array([[0.0, 1.0], [0.0, 0.0]]))
     return paths
 
 
@@ -60,6 +61,10 @@ class TestMatrixFiles:
         short.write_text('{"dim": 2, "entries": [[1.0, 0.0]]}')
         with pytest.raises(PreconditionError):
             read_matrix(short)
+        text = tmp_path / "text.json"
+        text.write_text('{"dim": 1, "entries": [["a", 0.0]]}')
+        with pytest.raises(PreconditionError, match="pair of numbers"):
+            read_matrix(text)
 
     def test_format_float_round_trip(self):
         for x in (0.1, -1e-308, 2.0**-52, 1e300, -0.0, 123456789.123456789):
@@ -168,6 +173,59 @@ class TestXiCommand:
         xi_det = [float(line.split(",")[5]) for line in out.strip().splitlines()[1:]]
         assert xi_det == [1.5, 1.5]
 
+    @pytest.mark.parametrize("flag", ["--h0", "--v"])
+    def test_non_hermitian_exit_2(self, matrix_files, capsys, flag):
+        files = {"--h0": matrix_files["h0_diag2"], "--v": matrix_files["v39_1"]}
+        files[flag] = matrix_files["nonherm2"]
+        code, out, err = run_cli(
+            capsys, "xi", "--h0", files["--h0"], "--v", files["--v"], "--grid=0.4:0.6:2"
+        )
+        assert code == 2
+        assert out == "" and "not Hermitian" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--eps0", "-1", "eps0"),
+            ("--rel-tol", "0", "rel_tol"),
+            ("--rel-tol", "nan", "rel_tol"),
+            ("--conv-tol", "-1", "conv_tol"),
+            ("--rank-tol", "-1", "rank_tol"),
+            ("--rank-tol", "nan", "rank_tol"),
+        ],
+    )
+    def test_non_positive_tolerance_exit_2(self, matrix_files, capsys, flag, value, message):
+        code, out, err = run_cli(
+            capsys,
+            "xi",
+            "--h0",
+            matrix_files["h0_scalar"],
+            "--v",
+            matrix_files["v_scalar"],
+            "--grid=0.4:0.6:2",
+            f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == "" and message in err and "Traceback" not in err
+
+    def test_unopenable_out_file_exit_2(self, matrix_files, tmp_path, capsys):
+        dest = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys,
+            "xi",
+            "--h0",
+            matrix_files["h0_scalar"],
+            "--v",
+            matrix_files["v_scalar"],
+            "--grid=0.4:0.6:2",
+            "--out",
+            str(dest),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot open output file") and err.count("\n") == 1
+        assert not dest.exists()
+
     def test_out_file(self, matrix_files, tmp_path, capsys):
         dest = tmp_path / "profile.csv"
         code, out, _ = run_cli(
@@ -266,6 +324,22 @@ class TestAverageCommands:
             "fourier:1,2",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--f", "gauss:0,-1"), ("--f", "poly:a"), ("--s-range", "a:1")]
+    )
+    def test_bad_spec_exit_2(self, matrix_files, capsys, flag, value):
+        code, _, err = run_cli(
+            capsys,
+            "average",
+            "--h0",
+            matrix_files["h0_diag2"],
+            "--v",
+            matrix_files["v39_1"],
+            f"{flag}={value}",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestCheckCommand:

@@ -8,6 +8,7 @@ from kreinshift.herglotz import (
     HerglotzFamily,
     SignBlock,
     boundary_log,
+    shift_projection,
 )
 from kreinshift.matkit import frobenius, imaginary_part, trace_norm
 from kreinshift.oplog import logm_dissipative
@@ -141,6 +142,11 @@ class TestBoundaryLog:
             assert re_.cauchy <= EpsSchedule().conv_tol
             assert frobenius(direct - via_eps) <= 1e-8
 
+    def test_schedule_validation(self):
+        for kwargs in ({"eps0": -1.0}, {"factor": 1.0}, {"conv_tol": 0.0}, {"conv_tol": -1.0}):
+            with pytest.raises(PreconditionError):
+                EpsSchedule(**kwargs)
+
     def test_exclusion_zone_rejected(self):
         fam = rank_one_family(1.0)
         with pytest.raises(PreconditionError, match="exclusion"):
@@ -169,6 +175,49 @@ class TestBoundaryLog:
         fam = HerglotzFamily.from_potential(h0, v)
         y = 1e6
         assert frobenius(logm_dissipative(fam.evaluate_phi_plus(1j * y))) / y < 1e-6
+
+
+class TestShiftProjection:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(32)
+        stack = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+        sp = shift_projection(stack)
+        assert sp.projection.shape == (6, 4, 4) and not sp.singular.any()
+        for m, p, rank in zip(stack, sp.projection, sp.rank):
+            w, u = np.linalg.eigh(m)
+            neg = u[:, w < 0]
+            assert rank == neg.shape[1]
+            assert frobenius(p - neg @ neg.conj().T) <= 1e-13
+            assert frobenius(p @ p - p) <= 1e-13
+
+    def test_flags_exactly_singular(self):
+        rng = np.random.default_rng(33)
+        a = random_hermitian(rng, 3)
+        w, u = np.linalg.eigh(a)
+        singular = (u * np.array([w[0], 0.0, w[2]])) @ u.conj().T
+        sp = shift_projection(np.stack([a, np.diag([2.0, 0.0, -1.0]), singular, -np.eye(3)]))
+        assert sp.singular.tolist() == [False, True, True, False]
+        assert sp.rank[1] == 1 and sp.rank[3] == 3
+        assert frobenius(sp.projection[3] - np.eye(3)) <= 1e-15
+
+    def test_direct_log_through_projection(self):
+        # log|M| + i*pi*P on the + block, its conjugate on the - block
+        rng = np.random.default_rng(34)
+        h0, v = random_pair(rng, 4, 6)
+        fam = HerglotzFamily.from_potential(h0, v)
+        lam = widest_gap_midpoint(fam)
+        for which, evaluate in (
+            (SignBlock.PLUS, fam.evaluate_phi_plus),
+            (SignBlock.MINUS, fam.evaluate_phi_minus_tilde),
+        ):
+            m = evaluate(lam)
+            w, u = np.linalg.eigh(0.5 * (m + m.conj().T))
+            vals = np.log(np.abs(w)) + 1j * np.pi * (w < 0)
+            if which is SignBlock.MINUS:
+                vals = vals.conj()
+            l, rec = boundary_log(fam, which, lam, route="direct")
+            assert rec.route == "direct"
+            assert frobenius(l - (u * vals) @ u.conj().T) <= 1e-13
 
 
 class TestFamilyConstruction:

@@ -185,6 +185,12 @@ class TestSignFactorization:
         assert f.n_minus == np.count_nonzero(w < -thresh)
         assert frobenius(f.reconstruct() - v) <= 1e-11 * frobenius(v)
 
+    def test_rank_tol_validated(self):
+        # a NaN tolerance would drop every eigenpair and factor V as zero
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(PreconditionError):
+                sign_factorization(np.eye(2), rank_tol=tol)
+
 
 class TestTraceIdentities:
     def test_trace_commutator(self):

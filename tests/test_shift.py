@@ -1,12 +1,15 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
+from kreinshift import shift
+from kreinshift.checks import DEFAULT_SEED, _trace_instances
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
-from kreinshift.herglotz import HerglotzFamily, SignBlock
-from kreinshift.matkit import HermitianEig, frobenius
+from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log
+from kreinshift.matkit import HermitianEig, frobenius, hermitian_part, imaginary_part, trace
 from kreinshift.shift import (
     auto_grid,
     chain_and_monotonicity,
@@ -22,7 +25,6 @@ from kreinshift.shift import (
     xi_at,
     xi_counting_oracle,
     xi_operator,
-    xi_operator_full,
     xi_via_det,
 )
 
@@ -65,12 +67,6 @@ class TestXiOperator:
             for which in (SignBlock.PLUS, SignBlock.MINUS):
                 w = np.linalg.eigvalsh(xi_operator(random_family, which, lam))
                 assert w.min() >= -1e-8 and w.max() <= 1.0 + 1e-8
-
-    def test_full_block_operator_hermitian(self, random_family):
-        lam = float(safe_grid(random_family, 10)[3])
-        op = xi_operator_full(random_family, lam)
-        assert frobenius(op - op.conj().T) <= 1e-12
-        assert op.shape == (random_family.rank, random_family.rank)
 
 
 class TestXiAt:
@@ -358,3 +354,76 @@ class TestProfile:
         p8 = compute_profile(random_family, grid, include_det=True)
         assert np.array_equal(p1.xi, p8.xi)
         assert np.array_equal(p1.xi_det, p8.xi_det)
+
+
+class TestBatchedProfile:
+    @staticmethod
+    def scalar_point(fam, lam):
+        """xi_plus, xi_minus and the descending operator eigenvalues at lam
+        from one boundary_log call per block."""
+        out = []
+        for which, sign in ((SignBlock.PLUS, 1.0), (SignBlock.MINUS, -1.0)):
+            l, _ = boundary_log(fam, which, lam)
+            op = hermitian_part(sign * imaginary_part(l) / math.pi)
+            out += [trace(op).real, np.linalg.eigvalsh(op)[::-1]]
+        return out
+
+    def test_matches_scalar_boundary_logs(self):
+        for fam in _trace_instances(DEFAULT_SEED):
+            grid = safe_grid(fam, 50)
+            prof = compute_profile(fam, grid)
+            assert np.array_equal(prof.grid, grid)
+            assert all(d[0].route != "eps" and d[1].route != "eps" for d in prof.diagnostics)
+            for i, lam in enumerate(grid):
+                xp, ep, xm, em = self.scalar_point(fam, float(lam))
+                assert abs(prof.xi_plus[i] - xp) <= 1e-12
+                assert abs(prof.xi_minus[i] - xm) <= 1e-12
+                assert abs(prof.xi[i] - (xp - xm)) <= 1e-12
+                assert np.max(np.abs(prof.xi_op_plus_eigs[i] - ep), initial=0.0) <= 1e-12
+                assert np.max(np.abs(prof.xi_op_minus_eigs[i] - em), initial=0.0) <= 1e-12
+
+    def test_chunks_match_pointwise(self, random_family, monkeypatch):
+        fam = random_family
+        grid = safe_grid(fam, 40)
+        per_point = 16 * fam.dim * max(fam.n_plus, fam.n_minus)
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 3 * per_point)
+        assert len(shift._chunks(fam, grid.size)) == math.ceil(grid.size / 3)
+        whole = compute_profile(fam, grid, include_det=True)
+        points = [compute_profile(fam, [lam], include_det=True) for lam in grid]
+        for key in ("grid", "xi", "xi_plus", "xi_minus", "xi_oracle", "xi_det"):
+            assert np.array_equal(
+                getattr(whole, key), np.concatenate([getattr(p, key) for p in points])
+            ), key
+        for i, p in enumerate(points):
+            assert np.array_equal(whole.xi_op_plus_eigs[i], p.xi_op_plus_eigs[0])
+            assert np.array_equal(whole.xi_op_minus_eigs[i], p.xi_op_minus_eigs[0])
+            assert whole.diagnostics[i] == p.diagnostics[0]
+        assert np.array_equal(xi_at(fam, grid), whole.xi)
+
+    def test_singular_point_takes_eps_route(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        fam = HerglotzFamily.from_potential(random_hermitian(rng, 5), random_indefinite(rng, 5, 4))
+        grid = safe_grid(fam, 20)
+        spectra = fam.all_spectra()
+        inside = np.flatnonzero((grid > spectra.min()) & (grid < spectra.max()))
+        gap = [np.min(np.abs(spectra - grid[i])) for i in inside]
+        k = int(inside[int(np.argmax(gap))])
+        evaluate = fam.evaluate_phi_plus
+
+        def singular_at_k(z):
+            # phi_plus is exactly singular at grid[k]; the eps route, which
+            # evaluates off the axis, sees the true phi_plus
+            out = evaluate(z)
+            out[np.asarray(z) == grid[k]] = 0.0
+            return out
+
+        monkeypatch.setattr(fam, "evaluate_phi_plus", singular_at_k)
+        prof = compute_profile(fam, grid)
+        routes = [d[0].route for d in prof.diagnostics]
+        assert routes[k] == "eps" and prof.diagnostics[k][0].converged
+        assert routes.count("eps") == 1
+        assert all(d[1].route == "direct" for d in prof.diagnostics)
+        assert np.all(np.abs(prof.xi - prof.xi_oracle) <= 1e-6)
+        assert xi_at(fam, grid[k]) == pytest.approx(prof.xi_oracle[k], abs=1e-6)
+        with pytest.raises(PreconditionError, match="singular"):
+            xi_at(fam, grid, route="direct")
