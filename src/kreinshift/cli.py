@@ -10,7 +10,8 @@ Commands:
 Exit codes: 0 success, 1 mathematical check or convergence failure,
 2 usage or parse error: a malformed flag, grid or test function, an
 unreadable or non-Hermitian matrix file, a non-positive tolerance or
-starting height, or an output file that cannot be opened.  Every grid is
+starting height, or an output file that cannot be opened.  The output
+file is opened (or refused) before any work is done.  Every grid is
 evaluated in one process and thread, as batched numpy arrays;
 KREIN_SHIFT_THREADS is ignored.
 """
@@ -116,7 +117,7 @@ def _output(args):
 # ----------------------------------------------------------------------
 
 
-def _cmd_xi(args) -> int:
+def _cmd_xi(args, stream) -> int:
     sched, quad = _config_from(args)
     h0 = _load_hermitian(args.h0, "base")
     v = _load_hermitian(args.v, "perturbation")
@@ -142,8 +143,7 @@ def _cmd_xi(args) -> int:
         + ["1" if profile.converged[i] else "0"]
         for i in range(profile.grid.size)
     ]
-    with _output(args) as stream:
-        write_csv(stream, header, rows)
+    write_csv(stream, header, rows)
 
     # a non-finite value compares false, so it fails the row too
     ok = (
@@ -162,7 +162,7 @@ def _cmd_xi(args) -> int:
     return EXIT_OK
 
 
-def _cmd_logm(args) -> int:
+def _cmd_logm(args, stream) -> int:
     _, quad = _config_from(args)
     t, _ = read_matrix(args.t)
     branch = Branch.LN if args.branch == "ln" else Branch.LOG
@@ -180,24 +180,22 @@ def _cmd_logm(args) -> int:
         for i in range(result.shape[0])
         for j in range(result.shape[1])
     ]
-    with _output(args) as stream:
-        write_csv(stream, header, rows)
-        stream.write(f"# expm-roundtrip-relative-residual,{format_float(residual)}\n")
+    write_csv(stream, header, rows)
+    stream.write(f"# expm-roundtrip-relative-residual,{format_float(residual)}\n")
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args, stream) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(names, seed=args.seed)
     overall = all(r.ok for r in reports)
-    with _output(args) as stream:
-        for rep in reports:
-            stream.write(rep.render() + "\n")
-        stream.write(f"overall: {'PASS' if overall else 'FAIL'}\n")
+    for rep in reports:
+        stream.write(rep.render() + "\n")
+    stream.write(f"overall: {'PASS' if overall else 'FAIL'}\n")
     return EXIT_OK if overall else EXIT_MATH
 
 
-def _cmd_average(args) -> int:
+def _cmd_average(args, stream) -> int:
     h0 = _load_hermitian(args.h0, "base")
     v1 = _load_hermitian(args.v, "path direction")
     if h0.shape != v1.shape:
@@ -208,16 +206,15 @@ def _cmd_average(args) -> int:
     lhs = averaged_pairing_lhs(h0, path, f)
     rhs = averaged_pairing_rhs(h0, path, f)
     resid = abs(lhs - rhs)
-    with _output(args) as stream:
-        write_csv(
-            stream,
-            ["lhs", "rhs", "residual"],
-            [[format_float(lhs), format_float(rhs), format_float(resid)]],
-        )
+    write_csv(
+        stream,
+        ["lhs", "rhs", "residual"],
+        [[format_float(lhs), format_float(rhs), format_float(resid)]],
+    )
     return EXIT_OK if resid < 1e-4 * (1.0 + abs(lhs)) else EXIT_MATH
 
 
-def _cmd_op_average(args) -> int:
+def _cmd_op_average(args, stream) -> int:
     h0 = _load_hermitian(args.h0, "base")
     k, _ = read_matrix(args.k)
     if k.shape[0] != h0.shape[0]:
@@ -229,8 +226,7 @@ def _cmd_op_average(args) -> int:
     else:
         rep = operator_average_residual(h0, k, f)
     row = [rep.residual, frobenius(rep.lhs), frobenius(rep.rhs)]
-    with _output(args) as stream:
-        write_csv(stream, ["residual", "lhs_fro", "rhs_fro"], [[format_float(x) for x in row]])
+    write_csv(stream, ["residual", "lhs_fro", "rhs_fro"], [[format_float(x) for x in row]])
     return EXIT_OK if rep.residual < 1e-4 else EXIT_MATH
 
 
@@ -252,11 +248,14 @@ def _config_from(args) -> tuple[EpsSchedule, QuadratureConfig]:
         raise ParseError(str(exc)) from exc
 
 
-def _add_common(p) -> None:
+def _add_tolerances(p) -> None:
     p.add_argument("--eps0", type=float, default=1e-2, help="starting height of the vertical limit")
     p.add_argument("--conv-tol", dest="conv_tol", type=float, default=1e-9)
     p.add_argument("--rel-tol", dest="rel_tol", type=float, default=1e-11)
     p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
+
+
+def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
@@ -271,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h0", required=True, help="matrix file for the base matrix")
     p.add_argument("--v", required=True, help="matrix file for the perturbation")
     p.add_argument("--grid", default="auto", help="min:max:count or auto")
-    _add_common(p)
+    _add_tolerances(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_xi)
 
     p = sub.add_parser("logm", help="logarithm of a dissipative matrix as CSV")
@@ -284,13 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
         "ln: principal branch via the eigendecomposition route",
     )
     p.add_argument("--anti", action="store_true", help="argument is anti-dissipative")
-    _add_common(p)
+    _add_tolerances(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_logm)
 
     p = sub.add_parser("check", help="run seeded verification suites")
     p.add_argument("suite", choices=SUITE_NAMES + ("all",))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("average", help="weak-pairing averaging identity for V(s) = s V")
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", required=True, help="matrix file for the path direction")
     p.add_argument("--s-range", dest="s_range", default="0:1", help="a:b")
     p.add_argument("--f", default="poly:0,1", help="poly:c0,c1,... | gauss:mu,sigma | imres:re,im")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("op-average", help="operator averaging identity for a factor K")
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="matrix file for the factor K")
     p.add_argument("--s-range", dest="s_range", default=None, help="a:b for the increment form")
     p.add_argument("--f", default="poly:0,1")
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(func=_cmd_op_average)
 
     return ap
@@ -319,7 +320,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        with _output(args) as stream:
+            return args.func(args, stream)
     except KreinShiftError as exc:
         # malformed input is a usage error; violated mathematical bounds
         # and exhausted iterations are math failures

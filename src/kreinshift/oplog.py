@@ -5,11 +5,17 @@ half-line resolvent representation
 
     log(T) = -i * int_0^inf [ (T + i mu)^(-1) - (1 + i mu)^(-1) I ] d mu,
 
-evaluated with adaptive Gauss-Kronrod panels.  The integrand decays like
-mu^(-2); the tail beyond a switch point L is folded to a finite interval by
-u = 1/mu, where it is O(1) and smooth.  The first panel is split at
-delta = smin(T)/2 because the resolvent norm is controlled by ||T^(-1)||
-only below that scale.
+evaluated as one adaptive Gauss-Kronrod integral.  The integrand decays like
+mu^(-2); the tail beyond a switch point L (default max(1, 4||T||)) is folded
+by u = 1/mu onto a finite interval, where it is O(1) and smooth, and placed
+after the head: on [0, L] the variable is mu itself, on (L, L + 1/L] it is
+u = x - L.  Both parts are one batched solve of a(x) T + b(x) I per round
+of the quadrature.  The variable is scaled by a power of two that brings L
+within a factor sqrt(2) of 1, so the folded panel keeps its digits however
+large ||T|| is.  The initial mesh is [0, delta] with delta = smin(T)/2
+(below it the resolvent norm is set by ||T^(-1)||), dyadic panels
+delta * 2^k up to L, and the folded tail: about log2(8 cond(T)) panels, on
+which most logarithms converge in one round.
 
 The induced branch for scalars has its cut along the negative imaginary
 axis, so negative real arguments carry imaginary part +i*pi.  The principal
@@ -84,6 +90,8 @@ class QuadratureConfig:
             raise PreconditionError("rel_tol must be positive")
         if not 0.0 < self.split_fraction < 1.0:
             raise PreconditionError("split_fraction must lie in (0, 1)")
+        if self.tail_switch is not None and not self.tail_switch > 0:
+            raise PreconditionError("tail_switch must be positive")
         if self.max_panels < 64:
             raise PreconditionError("max_panels must be at least 64")
 
@@ -122,9 +130,10 @@ def dissipativity_margin(t) -> float:
     return float(np.min(np.linalg.eigvalsh(imaginary_part(m))))
 
 
-def _require_dissipative(m: np.ndarray, sign: int) -> None:
-    scale = max(operator_norm(m), np.finfo(float).tiny)
-    margin = dissipativity_margin(m if sign > 0 else m.conj().T)
+def _require_dissipative(m: np.ndarray, scale: float, sign: int) -> None:
+    """Refuse m unless Im(m) >= 0 within DISSIPATIVE_RTOL * scale; ``sign``
+    -1 means m is the adjoint of the caller's anti-dissipative argument."""
+    margin = dissipativity_margin(m)
     if margin < -DISSIPATIVE_RTOL * scale:
         kind = "dissipative" if sign > 0 else "anti-dissipative"
         raise PreconditionError(
@@ -134,6 +143,52 @@ def _require_dissipative(m: np.ndarray, sign: int) -> None:
         )
 
 
+def _logm(m: np.ndarray, cfg: QuadratureConfig | None, sign: int) -> np.ndarray:
+    """The half-line integral for a nonempty matrix m, checked to be
+    dissipative and invertible first."""
+    cfg = cfg or DEFAULT_QUADRATURE
+    n = m.shape[0]
+    svals = np.linalg.svd(m, compute_uv=False)
+    _require_dissipative(m, max(float(svals[0]), np.finfo(float).tiny), sign)
+    if svals[-1] == 0.0 or svals[0] / svals[-1] > LOGM_COND_LIMIT:
+        cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
+        raise PreconditionError(
+            f"matrix is singular within working precision: condition estimate "
+            f"{cond:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
+        )
+    lam_max = cfg.tail_switch if cfg.tail_switch is not None else max(1.0, 4.0 * float(svals[0]))
+    # mu = scale * x on the head; the power of two is exact and puts the fold
+    # within a factor sqrt(2) of 1, so the tail panel keeps its digits
+    scale = math.ldexp(1.0, round(math.log2(lam_max)))
+    fold = lam_max / scale
+    delta = 0.5 * float(svals[-1]) / scale
+    residue = np.eye(n, dtype=np.complex128) - m  # the difference of resolvents
+    # equals (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free for T ~ I
+
+    def integrand(xs):
+        # head x <= fold: mu = scale * x; tail: mu = scale / (x - fold)
+        head = xs <= fold
+        a = np.where(head, 1.0, xs - fold)
+        b = 1j * scale * np.where(head, xs, 1.0)
+        shifted = np.multiply(a[:, None, None], m, out=np.empty((xs.size, n, n), complex))
+        shifted.reshape(xs.size, -1)[:, :: n + 1] += b[:, None]
+        out = np.linalg.solve(shifted, np.broadcast_to(residue, shifted.shape))
+        out *= (scale / (a + b))[:, None, None]
+        return out
+
+    # [0, delta], dyadic panels up to the fold (the resolvent norm is set by
+    # ||T^(-1)|| below delta = smin(T)/2), then the folded tail
+    edges = [0.0]
+    if delta < fold:
+        steps = np.ldexp(delta, np.arange(math.ceil(math.log2(fold / delta)) + 1))
+        edges += steps[steps < fold].tolist()
+    edges += [fold, fold + 1.0 / fold]
+    val, _ = integrate_adaptive(
+        integrand, zip(edges[:-1], edges[1:]), cfg.rel_tol, cfg.max_panels, cfg.split_fraction
+    )
+    return -1j * val
+
+
 def logm_dissipative(t, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Logarithm of an invertible dissipative matrix via the half-line
     resolvent integral.
@@ -141,47 +196,10 @@ def logm_dissipative(t, cfg: QuadratureConfig | None = None) -> np.ndarray:
     Satisfies expm(log(T)) = T and 0 <= Im(log(T)) <= pi*I up to the
     quadrature tolerance.
     """
-    cfg = cfg or DEFAULT_QUADRATURE
     m = as_matrix(t)
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _require_dissipative(m, +1)
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > LOGM_COND_LIMIT:
-        cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
-        raise PreconditionError(
-            f"matrix is singular within working precision: condition estimate "
-            f"{cond:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
-        )
-    delta = 0.5 * float(svals[-1])
-    lam_max = cfg.tail_switch if cfg.tail_switch is not None else max(1.0, 4.0 * float(svals[0]))
-    eye = np.eye(n, dtype=np.complex128)
-    residue = eye - m  # the difference of resolvents equals
-    # (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free even for T ~ I
-
-    def head(mus):
-        shifted = m[None, :, :] + 1j * mus[:, None, None] * eye[None, :, :]
-        rhs = np.broadcast_to(residue, shifted.shape)
-        return np.linalg.solve(shifted, rhs) / (1.0 + 1j * mus)[:, None, None]
-
-    def tail(us):
-        # substitution mu = 1/u folds [lam_max, inf) onto (0, 1/lam_max]
-        shifted = us[:, None, None] * m[None, :, :] + 1j * eye[None, :, :]
-        rhs = np.broadcast_to(residue, shifted.shape)
-        return np.linalg.solve(shifted, rhs) / (us + 1j)[:, None, None]
-
-    if delta < lam_max:
-        segments = [(0.0, delta), (delta, lam_max)]
-    else:
-        segments = [(0.0, lam_max)]
-    head_val, _ = integrate_adaptive(
-        head, segments, cfg.rel_tol, cfg.max_panels, cfg.split_fraction
-    )
-    tail_val, _ = integrate_adaptive(
-        tail, [(0.0, 1.0 / lam_max)], cfg.rel_tol, cfg.max_panels, cfg.split_fraction
-    )
-    return -1j * (head_val + tail_val)
+    return _logm(m, cfg, +1)
 
 
 def logm_antidissipative(s, cfg: QuadratureConfig | None = None) -> np.ndarray:
@@ -190,8 +208,7 @@ def logm_antidissipative(s, cfg: QuadratureConfig | None = None) -> np.ndarray:
     m = as_matrix(s)
     if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    _require_dissipative(m, -1)
-    return logm_dissipative(m.conj().T, cfg).conj().T
+    return _logm(m.conj().T, cfg, -1).conj().T
 
 
 def logm_oracle_diag(t, branch: Branch = Branch.LOG) -> np.ndarray:

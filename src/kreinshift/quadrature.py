@@ -2,10 +2,15 @@
 
 A 15-point Kronrod rule with its embedded 7-point Gauss rule supplies per
 panel error estimates (Frobenius norm of the difference of the two rules,
-a deliberately conservative choice).  The panel with the largest estimate
-is bisected until the summed estimate drops below the relative tolerance.
-Panels are stored and accumulated in left-endpoint order, so results are
-bit-stable regardless of how callers schedule the work.
+a deliberately conservative choice).  The panels are kept as arrays in
+left-endpoint order (ends, values, error estimates, masses) and refined in
+rounds, after the round-based idiom of scipy's ``quad_vec``: each round
+bisects the panels with the largest estimates until those left unsplit sum
+to at most half the tolerance, and evaluates all new panels in one call of
+the batched integrand.  The Kronrod and Gauss sums, norms and masses of a
+round are einsum contractions over (panels, 15 nodes, values).  Sums run
+in left-endpoint order, so results are bit-stable however the caller
+orders the segments.
 """
 
 from __future__ import annotations
@@ -92,15 +97,20 @@ class PanelInfo:
     error: float
 
 
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    xs = 0.5 * (a + b) + half * _NODES
-    vals = np.asarray(f(xs), dtype=np.complex128)
-    ik = half * np.tensordot(_KRONROD_W, vals, axes=(0, 0))
-    ig = half * np.tensordot(_GAUSS_W, vals, axes=(0, 0))
-    mags = np.sqrt(np.sum(np.abs(vals.reshape(vals.shape[0], -1)) ** 2, axis=1))
-    mass = half * float(np.dot(_KRONROD_W, mags))
-    return a, b, ik, float(np.linalg.norm(ik - ig)), mass
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
+    """Kronrod values, error estimates and masses of the panels [lo, hi],
+    all evaluated in one call of ``f``, and the shape of one value of f."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    vals = np.ascontiguousarray(f(xs.ravel()), dtype=np.complex128)
+    shape = vals.shape[1:]
+    vals = vals.reshape(lo.size, _NODES.size, -1)
+    ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
+    ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
+    re_im = vals.view(np.float64)
+    mags = np.sqrt(np.einsum("pkv,pkv->pk", re_im, re_im))
+    mass = half * (mags @ _KRONROD_W)
+    return ik, np.linalg.norm(ik - ig, axis=1), mass, shape
 
 
 def integrate_adaptive(
@@ -117,32 +127,45 @@ def integrate_adaptive(
     interval endpoints themselves are never evaluated (the Kronrod nodes are
     interior), so integrable endpoint behavior is tolerated.
 
+    Works in rounds: each round bisects (at ``split_fraction``) the panels
+    with the largest error estimates until the panels left unsplit carry at
+    most half the tolerance, never going past ``max_panels``, and evaluates
+    all new panels in one call of ``f``.
+
     Returns ``(value, PanelInfo)`` or raises ConvergenceError when the panel
     budget is exhausted.
     """
-    panels = [_panel(f, a, b) for a, b in segments if b > a]
-    if not panels:
+    ends = np.array(sorted((float(a), float(b)) for a, b in segments if b > a), dtype=float)
+    if ends.size == 0:
         raise ConvergenceError("no integration segments supplied")
+    lo, hi = ends[:, 0], ends[:, 1]
+    vals, errs, masses, shape = _panels(f, lo, hi)
     while True:
-        total = panels[0][2]
-        err = panels[0][3]
-        mass = panels[0][4]
-        for _, _, val, perr, pmass in panels[1:]:
-            total = total + val
-            err += perr
-            mass += pmass
+        total = vals.sum(axis=0)
+        err = float(errs.sum())
         tnorm = float(np.linalg.norm(total))
-        if err <= max(rel_tol * tnorm, abs_tol, _EPS_FLOOR * mass, np.finfo(float).tiny):
-            return total, PanelInfo(len(panels), err)
-        if len(panels) >= max_panels:
+        tol = max(rel_tol * tnorm, abs_tol, _EPS_FLOOR * float(masses.sum()), np.finfo(float).tiny)
+        if err <= tol:
+            return total.reshape(shape)[()], PanelInfo(lo.size, err)
+        if lo.size >= max_panels:
             raise ConvergenceError(
                 f"quadrature left a residual estimate {err:.3e} after "
-                f"{len(panels)} panels (rel_tol {rel_tol:g})"
+                f"{lo.size} panels (rel_tol {rel_tol:g})"
             )
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        a, b, _, _, _ = panels[worst]
-        mid = a + (b - a) * split_fraction
-        panels[worst : worst + 1] = [_panel(f, a, mid), _panel(f, mid, b)]
+        # split the fewest worst panels that leave at most tol/2 unsplit
+        worst = np.argsort(-errs, kind="stable")
+        unsplit = err - np.cumsum(errs[worst])
+        count = min(int(np.searchsorted(-unsplit, -0.5 * tol)) + 1, max_panels - lo.size)
+        split = np.zeros(lo.size, dtype=bool)
+        split[worst[:count]] = True
+        mid = lo[split] + (hi[split] - lo[split]) * split_fraction
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new = (new_lo, new_hi, *_panels(f, new_lo, new_hi)[:3])
+        old = (lo, hi, vals, errs, masses)
+        merged = [np.concatenate([x[~split], y]) for x, y in zip(old, new)]
+        order = np.argsort(merged[0], kind="stable")
+        lo, hi, vals, errs, masses = (x[order] for x in merged)
 
 
 def integrate_piecewise(f, breakpoints, rel_tol: float, max_panels: int, abs_tol: float = 0.0):

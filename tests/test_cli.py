@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kreinshift import cli
 from kreinshift.cli import main
 from kreinshift.io import format_float, read_matrix, write_matrix
 
@@ -341,6 +342,35 @@ class TestAverageCommands:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--eps0=-1", "--conv-tol=-5", "--rel-tol=0", "--rank-tol=1"])
+    @pytest.mark.parametrize("command, factor", [("average", "--v"), ("op-average", "--k")])
+    def test_tolerance_flags_refused(self, matrix_files, capsys, command, factor, flag):
+        files = matrix_files
+        code, out, err = run_cli(
+            capsys, command, "--h0", files["h0_scalar"], factor, files["v_scalar"], flag
+        )
+        assert code == 2
+        assert out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize(
+        "command, factor, header",
+        [("average", "--v", "lhs,rhs,residual"), ("op-average", "--k", "residual,lhs_fro,rhs_fro")],
+    )
+    def test_out_file(self, matrix_files, tmp_path, capsys, command, factor, header):
+        dest = tmp_path / "avg.csv"
+        code, out, _ = run_cli(
+            capsys,
+            command,
+            "--h0",
+            matrix_files["h0_scalar"],
+            factor,
+            matrix_files["v_scalar"],
+            "--out",
+            str(dest),
+        )
+        assert code == 0 and out == ""
+        assert dest.read_text().startswith(header)
+
 
 class TestCheckCommand:
     def test_single_suite(self, capsys):
@@ -360,3 +390,14 @@ class TestCheckCommand:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_unopenable_out_file_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_suites called before the --out file was opened")
+
+        monkeypatch.setattr(cli, "run_suites", never)
+        dest = tmp_path / "missing-dir" / "x.txt"
+        code, out, err = run_cli(capsys, "check", "all", "--out", str(dest))
+        assert code == 2
+        assert out == "" and err.startswith("error: cannot open output file")
+        assert not dest.exists()

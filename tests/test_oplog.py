@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kreinshift.errors import PreconditionError
-from kreinshift.generators import random_dissipative
+from kreinshift.generators import random_dissipative, random_hermitian
 from kreinshift.matkit import expm, frobenius, imaginary_part, trace
 from kreinshift.oplog import (
     Branch,
@@ -95,6 +95,36 @@ class TestLogmDissipative:
             z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.5))
             l = logm_dissipative(z * np.eye(2), cfg)
             assert frobenius(l - scalar_log(z) * np.eye(2)) <= cfg.rel_tol * 10
+
+    def test_agrees_with_eigendecomposition_oracle(self):
+        # per size: a strictly dissipative draw, imaginary parts of rank n-1,
+        # 1 and 0, and a condition number of about 1e8 that starts the mesh
+        # some 30 dyadic panels deep; the small eigenvalue sits in its own
+        # (permuted) 1x1 block, so the LU solves stay exact in it
+        rng = np.random.default_rng(109)
+        for n in range(2, 11):
+            cases = [random_dissipative(rng, n, allow_flat=False)]
+            for rank in (n - 1, 1, 0):
+                c = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+                cases.append(random_hermitian(rng, n) + 1j * (c @ c.conj().T) / n)
+            body = random_dissipative(rng, n - 1, allow_flat=False)
+            tiny = 1e-8 * np.linalg.norm(body, 2) * np.exp(1j * rng.uniform(0.0, np.pi))
+            block = np.zeros((n, n), dtype=complex)
+            block[0, 0], block[1:, 1:] = tiny, body
+            perm = rng.permutation(n)
+            cases.append(block[np.ix_(perm, perm)])
+            assert np.linalg.cond(cases[-1]) == pytest.approx(1e8, rel=0.5)
+            for t in cases:
+                assert frobenius(logm_dissipative(t) - logm_oracle_diag(t)) <= 1e-10
+
+    def test_large_and_small_norms(self):
+        # the fold sits near 1 whatever the norm, so the tail keeps its digits
+        rng = np.random.default_rng(110)
+        t = random_dissipative(rng, 4, min_strict=0.2, allow_flat=False)
+        base = logm_dissipative(t)
+        for scale in (1e-6, 1e3, 1e9):
+            shifted = base + np.log(scale) * np.eye(4)
+            assert frobenius(logm_dissipative(scale * t) - shifted) <= 1e-12 * frobenius(shifted)
 
     def test_rejects_non_dissipative(self):
         with pytest.raises(PreconditionError, match="not dissipative"):

@@ -30,6 +30,9 @@ class TestConfigValidation:
             QuadratureConfig(split_fraction=1.0)
         with pytest.raises(PreconditionError):
             QuadratureConfig(max_panels=32)
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(PreconditionError, match="tail_switch"):
+                QuadratureConfig(tail_switch=bad)
 
     def test_eps_schedule(self):
         with pytest.raises(PreconditionError):
