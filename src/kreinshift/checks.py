@@ -29,7 +29,7 @@ from .generators import (
     random_pair,
     random_psd,
 )
-from .herglotz import HerglotzFamily
+from .herglotz import HerglotzFamily, SignBlock, boundary_log
 from .matkit import expm, frobenius, imaginary_part, trace_norm
 from .oplog import (
     Branch,
@@ -247,6 +247,27 @@ def check_reconstruction(seed: int, samples: int = 5) -> list:
         fam = HerglotzFamily.from_potential(h0, v)
         devs.append(herglotz_reconstruction_residual(fam, 1.0 + 2.0j))
     return [_line_max("log(phi_plus) from shift-operator integral", devs, 1e-4, f"{samples} draws")]
+
+
+def check_eps_limit(seed: int, count: int = 2) -> list:
+    """The vertical limit of the eps schedule against the direct boundary
+    log, on both blocks at two gap points per pair, each at least 0.5% of
+    the spectral diameter from every eigenvalue, where the schedule
+    converges."""
+    rng = np.random.default_rng(seed + 205)
+    devs = []
+    for _ in range(count):
+        fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
+        eigs = fam.all_spectra()
+        grid = safe_grid(fam, 20)
+        gaps = grid[(grid > eigs.min()) & (grid < eigs.max())]
+        clear = gaps[np.min(np.abs(gaps[:, None] - eigs), axis=1) >= 0.005 * fam.spectral_diameter()]
+        for lam in clear[[0, -1]]:
+            for which in SignBlock:
+                direct, _ = boundary_log(fam, which, float(lam), route="direct")
+                limit, _ = boundary_log(fam, which, float(lam), route="eps")
+                devs.append(frobenius(limit - direct))
+    return [_line_max("eps limit vs direct boundary log", devs, 1e-6, f"{count} pairs x 2 points")]
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +571,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
         rep.lines += check_inverse_identities(seed)
         rep.lines += check_decay(seed)
         rep.lines += check_reconstruction(seed)
+        rep.lines += check_eps_limit(seed)
     elif name == "trace":
         rep.lines += check_oracle_equivalence(seed)
         rep.lines += check_trace_formula(seed)

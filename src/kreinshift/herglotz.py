@@ -10,12 +10,15 @@ give rise to three block transfer matrices:
 
 where H+ = H0 + K+ K+*.  The first two have nonnegative imaginary part in
 the upper half-plane, the third nonpositive.  Their logarithms at lambda+i0
-carry the spectral shift data; off the real spectra the boundary value is an
-honest limit and is computed directly, otherwise a vertical epsilon schedule
-with Richardson extrapolation is used.  There the boundary matrix is
-invertible Hermitian and the shift operator is the projection onto its
-negative eigenspace; ``shift_projection`` computes it for a whole stack of
-boundary matrices with one batched eigendecomposition.
+carry the spectral shift data.  Off the real spectra the boundary matrix is
+invertible Hermitian, so the boundary value is an honest limit, and the
+shift operator is the projection onto its negative eigenspace;
+``shift_projection`` computes it for a whole stack of boundary matrices with
+one batched eigendecomposition, and it alone serves the shift operators and
+profiles.  ``boundary_log`` gives the logarithm itself, either directly at
+eps = 0 or by the definition: a vertical epsilon schedule lambda + i*eps
+with Richardson extrapolation, which the verification suites compare with
+the direct value.
 """
 
 from __future__ import annotations

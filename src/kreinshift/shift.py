@@ -21,19 +21,12 @@ out of the exclusion zones around eigenvalues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionError
-from .herglotz import (
-    ConvergenceRecord,
-    EpsSchedule,
-    HerglotzFamily,
-    SignBlock,
-    boundary_log,
-    shift_projection,
-)
+from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, shift_projection
 from .matkit import (
     as_matrix,
     eig_hermitian,
@@ -86,70 +79,52 @@ def _chunks(fam: HerglotzFamily, count: int) -> list:
     return [slice(i, i + size) for i in range(0, max(count, 1), size)]
 
 
-def _block_operators(fam, which, lams, sched=None, cfg=None, route="auto"):
-    """Shift operators of one block at every point of the 1-D array lams,
-    stacked (m, b, b), and their convergence records.
-
-    One batched shift projection serves every point whose boundary matrix
-    is invertible; only the points it flags singular (every point for
-    route "eps") take the per-point eps route of ``boundary_log``.
-    """
-    if route not in ("auto", "direct", "eps"):
-        raise PreconditionError(f"unknown route {route!r}")
+def _block_operators(fam, which, lams) -> ShiftProjection:
+    """One batched ``shift_projection`` of the boundary matrices of one
+    block (phi_plus or phi_minus~) at every point of the 1-D array lams.
+    Each projection, stacked (m, b, b), is the shift operator of the block
+    there unless its matrix is flagged singular; callers move such a point
+    or refuse it (``_regular``)."""
     fam.check_off_spectrum(lams, which)
     if which is SignBlock.PLUS:
-        block, evaluate, sign = fam.n_plus, fam.evaluate_phi_plus, 1.0
-    else:
-        block, evaluate, sign = fam.n_minus, fam.evaluate_phi_minus_tilde, -1.0
-    if block == 0:
-        empty = ConvergenceRecord("empty", 0, 0.0, True)
-        return np.zeros((lams.size, 0, 0), dtype=np.complex128), [empty] * lams.size
-    sp = shift_projection(evaluate(lams))
-    ops, todo = sp.projection, sp.singular | (route == "eps")
-    records = [ConvergenceRecord("direct", 0, 0.0, True)] * lams.size
-    for i in np.flatnonzero(todo):
-        # on route "direct", boundary_log raises at a singular point
-        point_route = "direct" if route == "direct" else "eps"
-        l, records[i] = boundary_log(fam, which, float(lams[i]), sched, cfg, point_route)
-        ops[i] = hermitian_part(sign * imaginary_part(l) / math.pi)
-    return ops, records
+        return shift_projection(fam.evaluate_phi_plus(lams))
+    return shift_projection(fam.evaluate_phi_minus_tilde(lams))
+
+
+def _regular(sp: ShiftProjection, lams) -> np.ndarray:
+    """The projections of sp, after checking that no boundary matrix is
+    flagged singular, where the direct route has no value to give."""
+    if sp.singular.any():
+        lam = float(lams[sp.singular][0])
+        raise PreconditionError(
+            f"boundary matrix is singular at lambda={lam!r}; "
+            "the direct route is unavailable"
+        )
+    return sp.projection
 
 
 def _traces(ops: np.ndarray) -> np.ndarray:
     return np.trace(ops, axis1=-2, axis2=-1).real
 
 
-def xi_operator(
-    fam: HerglotzFamily,
-    which: SignBlock,
-    lam: float,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-    route: str = "auto",
-) -> np.ndarray:
-    """Shift operator of the pair (H0, H+) (PLUS) or (H+, H) (MINUS) at lam.
-
-    Hermitian with spectrum in [0, 1] up to the boundary-value tolerance.
-    """
-    ops, _ = _block_operators(fam, which, np.array([float(lam)]), sched, cfg, route)
-    return ops[0]
+def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
+    """Shift operator of the pair (H0, H+) (PLUS) or (H+, H) (MINUS) at lam:
+    the orthogonal projection onto the negative eigenspace of the boundary
+    matrix.  Raises PreconditionError where that matrix is singular."""
+    lams = np.array([float(lam)])
+    return _regular(_block_operators(fam, which, lams), lams)[0]
 
 
-def xi_at(
-    fam: HerglotzFamily,
-    lam,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-    route: str = "auto",
-):
+def xi_at(fam: HerglotzFamily, lam):
     """Shift function via the operator route: tr of the + operator minus tr
     of the - operator.  A scalar lam gives a float; an array of points gives
     the array of values, evaluated in batched chunks as in
-    ``compute_profile``."""
+    ``compute_profile``.  Raises PreconditionError at a point where a
+    boundary matrix is singular."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     vals = np.concatenate([
-        _traces(_block_operators(fam, SignBlock.PLUS, lams[s], sched, cfg, route)[0])
-        - _traces(_block_operators(fam, SignBlock.MINUS, lams[s], sched, cfg, route)[0])
+        _traces(_regular(_block_operators(fam, SignBlock.PLUS, lams[s]), lams[s]))
+        - _traces(_regular(_block_operators(fam, SignBlock.MINUS, lams[s]), lams[s]))
         for s in _chunks(fam, lams.size)
     ])
     return float(vals[0]) if np.ndim(lam) == 0 else vals
@@ -283,15 +258,11 @@ class TraceIdentityReport:
     fd_minus_residual: float
 
 
-def trace_identity_checks(
-    fam: HerglotzFamily,
-    zs=(1.0 + 2.0j,),
-    cfg: QuadratureConfig | None = None,
-) -> TraceIdentityReport:
+def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentityReport:
     """tr V against the exact step integral of the shift function, the L1
     bound against the trace norm of V, and finite-difference residuals of
     the derivative identities for the traced block logarithms."""
-    cfg = cfg or QuadratureConfig(rel_tol=1e-13)
+    cfg = QuadratureConfig(rel_tol=1e-13)
     knots, values = counting_steps(fam.eig0.eigenvalues, fam.eig_h.eigenvalues)
     integral = step_integral(knots, values, lambda t: t).real
     tr_v = trace(fam.v).real
@@ -348,8 +319,6 @@ def chain_and_monotonicity(
     v1,
     v2,
     grid,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
     rank_tol: float = 1e-12,
 ) -> ChainReport:
     """Chain rule, antisymmetry and monotonicity of the shift function.
@@ -385,7 +354,7 @@ def chain_and_monotonicity(
     vals = {}
     oracle = 0.0
     for name, f in zip(("sum", "v1", "v2", "step", "back"), fams):
-        vals[name] = xi_at(f, pts, sched, cfg)
+        vals[name] = xi_at(f, pts)
         oracle = max(oracle, float(np.max(np.abs(vals[name] - xi_counting_oracle(f, pts)))))
 
     return ChainReport(
@@ -432,14 +401,7 @@ def _projection_above(m: np.ndarray, lam: float) -> np.ndarray:
     return hermitian_part((e.vectors * sel) @ e.vectors.conj().T)
 
 
-def example_3_9(
-    a: float,
-    b: float,
-    c: float,
-    lam: float,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-) -> ExampleReport:
+def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
     """2x2 counterexample to operator monotonicity of the spectral shift.
 
     Requires 0 < a < b < c < 1 with a*c - b*b >= 0 and lam strictly between
@@ -458,14 +420,14 @@ def example_3_9(
     h0 = np.zeros((2, 2), dtype=np.complex128)
     # square-root factorizations keep the operators in the physical basis,
     # where the closed-form spectral projections live
-    xi1 = xi_operator(HerglotzFamily.from_positive_root(h0, v1), SignBlock.PLUS, lam, sched, cfg)
-    xi2 = xi_operator(HerglotzFamily.from_positive_root(h0, v2), SignBlock.PLUS, lam, sched, cfg)
+    xi1 = xi_operator(HerglotzFamily.from_positive_root(h0, v1), SignBlock.PLUS, lam)
+    xi2 = xi_operator(HerglotzFamily.from_positive_root(h0, v2), SignBlock.PLUS, lam)
     e1 = _projection_above(v1, lam)
     e2 = _projection_above(v2, lam)
     # independent route: imaginary part of log(I - V/lam) has the same
     # projection structure for lam > 0
     step = hermitian_part(
-        imaginary_part(logm_dissipative(np.eye(2) - v1 / lam, cfg)) / math.pi
+        imaginary_part(logm_dissipative(np.eye(2) - v1 / lam)) / math.pi
     )
     diff_eigs = np.linalg.eigvalsh(hermitian_part(xi2 - xi1))
     return ExampleReport(
@@ -486,7 +448,6 @@ def example_3_9(
 def herglotz_reconstruction_residual(
     fam: HerglotzFamily,
     z: complex,
-    cfg: QuadratureConfig | None = None,
     rel_tol: float = 1e-7,
     max_panels: int = 4096,
 ) -> float:
@@ -495,7 +456,7 @@ def herglotz_reconstruction_residual(
     z = complex(z)
     if z.imag == 0:
         raise PreconditionError("z must be off the real axis")
-    target = logm_dissipative(fam.evaluate_phi_plus(z), cfg)
+    target = logm_dissipative(fam.evaluate_phi_plus(z))
     if fam.n_plus == 0:
         return 0.0
     breakpoints = np.unique(
@@ -505,7 +466,7 @@ def herglotz_reconstruction_residual(
         return float(frobenius(target))
 
     def integrand(lams):
-        ops, _ = _block_operators(fam, SignBlock.PLUS, np.asarray(lams, dtype=float))
+        ops = _regular(_block_operators(fam, SignBlock.PLUS, lams), lams)
         return ops / (lams - z)[:, None, None]
 
     val, _ = integrate_piecewise(integrand, breakpoints, rel_tol, max_panels, abs_tol=1e-9)
@@ -515,32 +476,45 @@ def herglotz_reconstruction_residual(
 # ----------------------------------------------------------------------
 # grids
 
-def _snap_point(x: float, eigs: np.ndarray, excl: float, snap: float, center: float) -> float:
+def _snap_point(x: float, eigs, excl: float, snap: float, center: float, accept=None) -> float:
+    """x itself when it is clear of the exclusion zones and ``accept`` (if
+    given) takes it; otherwise the first such point among
+    origin + d * snap * 2^k, k = 0, 1, ..., where origin is the nearest
+    eigenvalue when x lies in its zone and x otherwise, and d points toward
+    the hull center."""
+
+    def ok(c: float) -> bool:
+        return float(np.min(np.abs(eigs - c))) > excl and (accept is None or accept(c))
+
+    if ok(x):
+        return x
     d = np.abs(eigs - x)
     i = int(np.argmin(d))
-    if d[i] > excl:
-        return x
-    e = float(eigs[i])
-    direction = 1.0 if e <= center else -1.0
+    origin = float(eigs[i]) if d[i] <= excl else x
+    direction = 1.0 if origin <= center else -1.0
     step = snap
     for _ in range(60):
-        cand = e + direction * step
-        if float(np.min(np.abs(eigs - cand))) > excl:
+        cand = origin + direction * step
+        if ok(cand):
             return cand
         step *= 2.0
-    raise PreconditionError(f"could not snap grid point {x!r} off the exclusion zones")
+    raise PreconditionError(f"could not snap grid point {x!r} to a safe spot")
+
+
+def _snapper(fam: HerglotzFamily, accept=None):
+    """``_snap_point`` with the exclusion zones, step and hull center of fam."""
+    eigs = np.sort(fam.all_spectra())
+    excl = fam.exclusion_width()
+    snap = SNAP_RTOL * fam.spectral_diameter()
+    center = 0.5 * (eigs[0] + eigs[-1])
+    return lambda x: _snap_point(float(x), eigs, excl, snap, center, accept)
 
 
 def snap_grid(fam: HerglotzFamily, pts) -> np.ndarray:
     """Move any grid point inside an exclusion zone to a safe spot nearby,
     nudging toward the midpoint of the joint spectral hull."""
-    eigs = np.sort(fam.all_spectra())
-    excl = fam.exclusion_width()
-    snap = SNAP_RTOL * fam.spectral_diameter()
-    center = 0.5 * (eigs[0] + eigs[-1])
-    return np.asarray(
-        [_snap_point(float(x), eigs, excl, snap, center) for x in np.asarray(pts, dtype=float)]
-    )
+    snap = _snapper(fam)
+    return np.asarray([snap(x) for x in np.asarray(pts, dtype=float)])
 
 
 def _distinct_spectra(fam: HerglotzFamily) -> np.ndarray:
@@ -595,10 +569,10 @@ def safe_grid(fam: HerglotzFamily, n_min: int = 50, margin: float = 0.05) -> np.
 
 @dataclass
 class ShiftProfile:
-    """Shift data on a grid: the shift function, its two halves, the
-    eigenvalues of both shift operators per point (descending), the counting
-    oracle, optionally the determinant route, and per-point convergence
-    records."""
+    """Shift data on a grid of evaluated points: the shift function, its two
+    halves, the eigenvalues of both shift operators per point (descending:
+    as many ones as the rank of the projection, then zeros), the counting
+    oracle and optionally the determinant route."""
 
     grid: np.ndarray
     xi: np.ndarray
@@ -608,44 +582,52 @@ class ShiftProfile:
     xi_op_minus_eigs: list
     xi_oracle: np.ndarray
     xi_det: np.ndarray
-    diagnostics: list = field(default_factory=list)
 
     @property
     def converged(self) -> np.ndarray:
-        return np.asarray([d[0].converged and d[1].converged for d in self.diagnostics])
+        """All true: every value is the direct route at the evaluated point."""
+        return np.ones(self.grid.size, dtype=bool)
 
 
-def compute_profile(
-    fam: HerglotzFamily,
-    grid,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-    include_det: bool = False,
-) -> ShiftProfile:
-    """Evaluate the shift data over a grid (snapped off exclusion zones).
+def _both_blocks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
+    return (
+        _block_operators(fam, SignBlock.PLUS, lams),
+        _block_operators(fam, SignBlock.MINUS, lams),
+    )
 
-    The grid is taken in chunks whose stacked temporaries stay under
+
+def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> ShiftProfile:
+    """Evaluate the shift data over a grid.
+
+    Points inside an exclusion zone are snapped off it (``snap_grid``).  The
+    grid is taken in chunks whose stacked temporaries stay under
     PROFILE_CHUNK_BYTES.  Per chunk, phi_plus and phi_minus~ are built for
-    all points at once; one batched eigendecomposition per block gives the
-    shift operators as negative-eigenspace projections, and a second one
-    their eigenvalues.  Only points whose boundary matrix is numerically
-    singular take the per-point eps route.  The counting oracle is one
-    vectorized count per chunk; the determinant route (``include_det``)
-    runs per point.
+    all points at once, and one batched shift projection per block gives
+    the shift operators.  A point where either boundary matrix is flagged
+    singular is moved by the same doubling search, from the point itself
+    toward the hull center, to the first spot where neither is, before
+    anything reads it; ``grid`` holds the evaluated points.  Every operator
+    is an exact projection, so its eigenvalues are its rank in ones, then
+    zeros.  The counting oracle is one vectorized count per chunk; the
+    determinant route (``include_det``) runs per point.
     """
     grid = snap_grid(fam, grid)
-    cols = {key: [] for key in ("xp", "xm", "ep", "em", "oracle", "rp", "rm")}
+    nudge = _snapper(
+        fam, lambda x: not any(sp.singular[0] for sp in _both_blocks(fam, np.array([x])))
+    )
+    cols = {key: [] for key in ("xp", "xm", "ep", "em", "oracle")}
     for s in _chunks(fam, grid.size):
-        lams = grid[s]
-        ops_p, rec_p = _block_operators(fam, SignBlock.PLUS, lams, sched, cfg)
-        ops_m, rec_m = _block_operators(fam, SignBlock.MINUS, lams, sched, cfg)
-        cols["xp"].append(_traces(ops_p))
-        cols["xm"].append(_traces(ops_m))
-        cols["ep"].extend(np.linalg.eigvalsh(ops_p)[:, ::-1])
-        cols["em"].extend(np.linalg.eigvalsh(ops_m)[:, ::-1])
+        lams = grid[s]  # a view: nudged points land in grid
+        sps = _both_blocks(fam, lams)
+        moved = sps[0].singular | sps[1].singular
+        if moved.any():
+            lams[moved] = [nudge(x) for x in lams[moved]]
+            sps = _both_blocks(fam, lams)
+        for sp, xcol, ecol in zip(sps, ("xp", "xm"), ("ep", "em")):
+            cols[xcol].append(_traces(_regular(sp, lams)))
+            block = sp.projection.shape[-1]
+            cols[ecol].extend((np.arange(block) < sp.rank[:, None]).astype(float))
         cols["oracle"].append(xi_counting_oracle(fam, lams))
-        cols["rp"].extend(rec_p)
-        cols["rm"].extend(rec_m)
     xp = np.concatenate(cols["xp"])
     xm = np.concatenate(cols["xm"])
     return ShiftProfile(
@@ -659,5 +641,4 @@ def compute_profile(
         xi_det=np.asarray(
             [xi_via_det(fam, lam) for lam in grid] if include_det else [math.nan] * grid.size
         ),
-        diagnostics=list(zip(cols["rp"], cols["rm"])),
     )

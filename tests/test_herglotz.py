@@ -142,6 +142,13 @@ class TestBoundaryLog:
             assert re_.cauchy <= EpsSchedule().conv_tol
             assert frobenius(direct - via_eps) <= 1e-8
 
+    def test_eps_limit_check_line(self):
+        from kreinshift.checks import DEFAULT_SEED, check_eps_limit
+
+        (line,) = check_eps_limit(DEFAULT_SEED)
+        assert line.name == "eps limit vs direct boundary log"
+        assert line.ok and line.bound == 1e-6 and 0.0 < line.value < 1e-8
+
     def test_schedule_validation(self):
         for kwargs in ({"eps0": -1.0}, {"factor": 1.0}, {"conv_tol": 0.0}, {"conv_tol": -1.0}):
             with pytest.raises(PreconditionError):

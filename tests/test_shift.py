@@ -8,7 +8,7 @@ from kreinshift import shift
 from kreinshift.checks import DEFAULT_SEED, _trace_instances
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
-from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log
+from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log, shift_projection
 from kreinshift.matkit import HermitianEig, frobenius, hermitian_part, imaginary_part, trace
 from kreinshift.shift import (
     auto_grid,
@@ -373,7 +373,6 @@ class TestBatchedProfile:
             grid = safe_grid(fam, 50)
             prof = compute_profile(fam, grid)
             assert np.array_equal(prof.grid, grid)
-            assert all(d[0].route != "eps" and d[1].route != "eps" for d in prof.diagnostics)
             for i, lam in enumerate(grid):
                 xp, ep, xm, em = self.scalar_point(fam, float(lam))
                 assert abs(prof.xi_plus[i] - xp) <= 1e-12
@@ -397,10 +396,21 @@ class TestBatchedProfile:
         for i, p in enumerate(points):
             assert np.array_equal(whole.xi_op_plus_eigs[i], p.xi_op_plus_eigs[0])
             assert np.array_equal(whole.xi_op_minus_eigs[i], p.xi_op_minus_eigs[0])
-            assert whole.diagnostics[i] == p.diagnostics[0]
         assert np.array_equal(xi_at(fam, grid), whole.xi)
 
-    def test_singular_point_takes_eps_route(self, monkeypatch):
+    def test_operator_eigenvalues_are_exact(self, random_family):
+        grid = safe_grid(random_family, 50)
+        prof = compute_profile(random_family, grid)
+        ranks = (
+            shift_projection(random_family.evaluate_phi_plus(grid)).rank,
+            shift_projection(random_family.evaluate_phi_minus_tilde(grid)).rank,
+        )
+        assert ranks[0].any() and ranks[1].any()
+        for col, rank in zip((prof.xi_op_plus_eigs, prof.xi_op_minus_eigs), ranks):
+            for eigs, r in zip(col, rank):
+                assert np.array_equal(eigs, np.r_[np.ones(r), np.zeros(eigs.size - r)])
+
+    def test_singular_point_is_nudged(self, monkeypatch):
         rng = np.random.default_rng(62)
         fam = HerglotzFamily.from_potential(random_hermitian(rng, 5), random_indefinite(rng, 5, 4))
         grid = safe_grid(fam, 20)
@@ -411,19 +421,25 @@ class TestBatchedProfile:
         evaluate = fam.evaluate_phi_plus
 
         def singular_at_k(z):
-            # phi_plus is exactly singular at grid[k]; the eps route, which
-            # evaluates off the axis, sees the true phi_plus
+            # phi_plus is exactly singular at grid[k] and nowhere else
             out = evaluate(z)
             out[np.asarray(z) == grid[k]] = 0.0
             return out
 
         monkeypatch.setattr(fam, "evaluate_phi_plus", singular_at_k)
-        prof = compute_profile(fam, grid)
-        routes = [d[0].route for d in prof.diagnostics]
-        assert routes[k] == "eps" and prof.diagnostics[k][0].converged
-        assert routes.count("eps") == 1
-        assert all(d[1].route == "direct" for d in prof.diagnostics)
+        prof = compute_profile(fam, grid, include_det=True)
+        others = np.arange(grid.size) != k
+        assert prof.grid[k] != grid[k]
+        assert abs(prof.grid[k] - grid[k]) <= 4 * shift.SNAP_RTOL * fam.spectral_diameter()
+        assert np.array_equal(prof.grid[others], grid[others])
         assert np.all(np.abs(prof.xi - prof.xi_oracle) <= 1e-6)
-        assert xi_at(fam, grid[k]) == pytest.approx(prof.xi_oracle[k], abs=1e-6)
+        assert np.all(np.abs(prof.xi_det - prof.xi_oracle) <= 1e-6)
+        assert prof.xi[k] == xi_at(fam, prof.grid[k])
+        # one point per chunk moves the same point to the same spot
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 1)
+        single = compute_profile(fam, grid)
+        assert np.array_equal(single.grid, prof.grid) and np.array_equal(single.xi, prof.xi)
         with pytest.raises(PreconditionError, match="singular"):
-            xi_at(fam, grid, route="direct")
+            xi_at(fam, grid[k])
+        with pytest.raises(PreconditionError, match="singular"):
+            xi_operator(fam, SignBlock.PLUS, grid[k])
