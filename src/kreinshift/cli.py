@@ -38,7 +38,7 @@ from .checks import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .errors import KreinShiftError, ParseError, PreconditionError
 from .herglotz import HerglotzFamily
 from .io import format_float, read_matrix, write_csv
-from .matkit import expm, frobenius, hermitian_part, is_hermitian
+from .matkit import check_tolerance, expm, frobenius, hermitian_part, is_hermitian
 from .oplog import Branch, QuadratureConfig, logm_antidissipative, logm_dissipative, logm_oracle_diag
 from .shift import auto_grid, compute_profile
 
@@ -119,8 +119,10 @@ def _output(args):
 
 
 def _cmd_xi(args, stream) -> int:
-    if not args.rank_tol > 0:
-        raise ParseError("rank_tol must be positive")
+    try:
+        check_tolerance("rank_tol", args.rank_tol)
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
     h0 = _load_hermitian(args.h0, "base")
     v = _load_hermitian(args.v, "perturbation")
     if h0.shape != v.shape:

@@ -18,7 +18,11 @@ one batched eigendecomposition, and it alone serves the shift operators and
 profiles.  ``boundary_log`` gives the logarithm itself, either directly at
 eps = 0 or by the definition: a vertical epsilon schedule lambda + i*eps
 with Richardson extrapolation, which the verification suites compare with
-the direct value.
+the direct value.  The logarithms of the schedule are taken as stacks, one
+integral for the whole schedule when the block is small (see
+``oplog.STACK_ENTRIES``), and scanned in order; a stack that raises is
+taken again one height at a time, so the route raises only at a height
+that the scan reaches.
 """
 
 from __future__ import annotations
@@ -30,18 +34,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, PreconditionError
+from .errors import ConvergenceError, KreinShiftError, PreconditionError
 from .matkit import (
     HermitianEig,
     SignedFactorization,
     apply_spectral_function,
     as_matrix,
+    check_tolerance,
     eig_hermitian,
     frobenius,
     hermitian_part,
     sign_factorization,
 )
-from .oplog import QuadratureConfig, logm_antidissipative, logm_dissipative
+from .oplog import STACK_ENTRIES, QuadratureConfig, logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
@@ -77,12 +82,10 @@ class EpsSchedule:
     conv_tol: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps0 > 0:
-            raise PreconditionError("eps0 must be positive")
+        check_tolerance("eps0", self.eps0)
         if not 0.0 < self.factor < 1.0:
             raise PreconditionError("factor must lie in (0, 1)")
-        if not self.conv_tol > 0:
-            raise PreconditionError("conv_tol must be positive")
+        check_tolerance("conv_tol", self.conv_tol)
 
 
 DEFAULT_SCHEDULE = EpsSchedule()
@@ -310,6 +313,22 @@ def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
     return log_abs + (sign * math.pi * 1j) * sp.projection[0]
 
 
+def _schedule_logs(
+    take_log, evaluate, lam: float, heights: np.ndarray, cfg: QuadratureConfig | None, chunk: int
+):
+    """Logarithms of evaluate(lam + i*eps) for the heights in order, taken
+    as stacks of ``chunk`` heights and only as far as the caller reads.  A
+    stack that raises is taken again one height at a time, so an error
+    surfaces only at a height the caller reaches."""
+    for start in range(0, heights.size, chunk):
+        part = heights[start : start + chunk]
+        try:
+            logs = take_log(evaluate(lam + 1j * part), cfg)
+        except KreinShiftError:
+            logs = (take_log(evaluate(lam + 1j * eps), cfg) for eps in part)
+        yield from logs
+
+
 def boundary_log(
     fam: HerglotzFamily,
     which: SignBlock,
@@ -354,12 +373,13 @@ def boundary_log(
                 "the direct route is unavailable"
             )
 
+    # eps0, eps0 * factor, ...: multiplied in turn, as the steps of the schedule
+    heights = np.cumprod([sched.eps0] + [sched.factor] * (sched.max_steps - 1))[: sched.max_steps]
+    logs = _schedule_logs(take_log, evaluate, lam, heights, cfg, max(1, STACK_ENTRIES // block**2))
     prev = None
     prev_rich = None
     cauchy = np.inf
-    eps = sched.eps0
-    for step in range(1, sched.max_steps + 1):
-        cur = take_log(evaluate(lam + 1j * eps), cfg)
+    for step, cur in enumerate(logs, start=1):
         if prev is not None:
             rich = (cur - sched.factor * prev) / (1.0 - sched.factor)
             if prev_rich is not None:
@@ -368,7 +388,6 @@ def boundary_log(
                     return rich, ConvergenceRecord("eps", step, cauchy, True)
             prev_rich = rich
         prev = cur
-        eps *= sched.factor
     raise ConvergenceError(
         f"epsilon schedule did not converge at lambda={lam!r} within "
         f"{sched.max_steps} steps (last Cauchy difference {cauchy:.3e}); "

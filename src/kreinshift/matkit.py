@@ -8,6 +8,7 @@ several threads at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +34,18 @@ __all__ = [
     "expm",
     "positive_negative_parts",
     "sign_factorization",
+    "check_tolerance",
 ]
 
 HERMITIAN_RTOL = 1e-12
 SOLVE_COND_LIMIT = 1e14
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Refuse a tolerance that is not a finite positive number: an infinite
+    or NaN one would switch off the criterion it sets."""
+    if not (math.isfinite(value) and value > 0):
+        raise PreconditionError(f"{name} must be finite and positive")
 
 
 def as_matrix(a) -> np.ndarray:
@@ -82,9 +91,9 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def imaginary_part(a) -> np.ndarray:
-    """The Hermitian matrix (A - A*)/(2i)."""
+    """The Hermitian matrix (A - A*)/(2i), or one per matrix of a stack."""
     m = np.asarray(a, dtype=np.complex128)
-    return (m - m.conj().T) / 2j
+    return (m - m.conj().swapaxes(-1, -2)) / 2j
 
 
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
@@ -257,8 +266,7 @@ def sign_factorization(v, rank_tol: float = 1e-12) -> SignedFactorization:
     column i of K is sqrt(|w_i|) times the eigenvector, positives ordered
     by descending eigenvalue followed by negatives ascending.
     """
-    if not rank_tol > 0:
-        raise PreconditionError("rank_tol must be positive")
+    check_tolerance("rank_tol", rank_tol)
     e = eig_hermitian(v)
     w = e.eigenvalues
     thresh = rank_tol * (float(np.max(np.abs(w))) if w.size else 0.0)

@@ -17,6 +17,16 @@ large ||T|| is.  The initial mesh is [0, delta] with delta = smin(T)/2
 delta * 2^k up to L, and the folded tail: about log2(8 cond(T)) panels, on
 which most logarithms converge in one round.
 
+Both logarithms also take a stack of matrices (m, n, n) and return the
+stack of their logarithms from one integral: one batched SVD and one
+batched eigendecomposition of the imaginary parts check every item (an
+error names the offending item), the fold and the mesh come from the
+largest norm and the smallest singular value of the stack, and the
+quadrature holds each item to the tolerance it would get alone.  A stack
+of more than STACK_ENTRIES entries is taken in pieces, one integral each,
+which bounds the memory of a round.  A single matrix is integrated as a
+stack of one.
+
 The induced branch for scalars has its cut along the negative imaginary
 axis, so negative real arguments carry imaginary part +i*pi.  The principal
 branch (cut along the negative reals) is kept alongside for comparisons.
@@ -36,6 +46,7 @@ import numpy as np
 from .errors import PreconditionError
 from .matkit import (
     as_matrix,
+    check_tolerance,
     det,
     imaginary_part,
     operator_norm,
@@ -58,6 +69,10 @@ __all__ = [
 DISSIPATIVE_RTOL = 1e-12
 LOGM_COND_LIMIT = 1e12
 ORACLE_COND_LIMIT = 1e8
+# entries (items * n * n) of the largest stack that one integral takes: a
+# round of the quadrature holds a few arrays of hundreds of abscissae times
+# this many complex numbers, so a longer stack is taken in pieces
+STACK_ENTRIES = 1024
 
 
 class Branch(enum.Enum):
@@ -86,12 +101,11 @@ class QuadratureConfig:
     max_panels: int = 1024
 
     def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise PreconditionError("rel_tol must be positive")
+        check_tolerance("rel_tol", self.rel_tol)
         if not 0.0 < self.split_fraction < 1.0:
             raise PreconditionError("split_fraction must lie in (0, 1)")
-        if self.tail_switch is not None and not self.tail_switch > 0:
-            raise PreconditionError("tail_switch must be positive")
+        if self.tail_switch is not None:
+            check_tolerance("tail_switch", self.tail_switch)
         if self.max_panels < 64:
             raise PreconditionError("max_panels must be at least 64")
 
@@ -124,45 +138,84 @@ def scalar_log(z, branch: Branch = Branch.LOG) -> complex:
 
 def dissipativity_margin(t) -> float:
     """Smallest eigenvalue of Im(T); nonnegative for dissipative T."""
-    m = as_matrix(t)
-    if m.shape[0] == 0:
-        return 0.0
-    return float(np.min(np.linalg.eigvalsh(imaginary_part(m))))
+    return float(_margins(as_matrix(t)[None])[0])
 
 
-def _require_dissipative(m: np.ndarray, scale: float, sign: int) -> None:
-    """Refuse m unless Im(m) >= 0 within DISSIPATIVE_RTOL * scale; ``sign``
-    -1 means m is the adjoint of the caller's anti-dissipative argument."""
-    margin = dissipativity_margin(m)
-    if margin < -DISSIPATIVE_RTOL * scale:
+def _margins(stack: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of Im(T) for each T of a stack (0 for 0x0)."""
+    if stack.shape[1] == 0:
+        return np.zeros(stack.shape[0])
+    return np.linalg.eigvalsh(imaginary_part(stack))[:, 0]
+
+
+def _as_stack(a) -> tuple[np.ndarray, bool]:
+    """A square matrix, or a stack of them (m, n, n), as a complex stack,
+    and whether it was a single matrix."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        return as_matrix(m)[None], True
+    if m.shape[1] != m.shape[2]:
+        raise PreconditionError(f"expected a stack of square matrices, got shape {m.shape}")
+    bad = ~np.isfinite(m).all(axis=(1, 2))
+    if bad.any():
+        raise PreconditionError(f"matrix {int(np.argmax(bad))} of the stack has non-finite entries")
+    return m, False
+
+
+def _require_dissipative(stack: np.ndarray, scale: np.ndarray, sign: int, single: bool) -> None:
+    """Refuse the stack unless every Im(m) >= 0 within DISSIPATIVE_RTOL times
+    its item's ``scale``; ``sign`` -1 means the items are the adjoints of
+    the caller's anti-dissipative arguments."""
+    margin = _margins(stack)
+    bad = margin < -DISSIPATIVE_RTOL * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "matrix" if single else f"matrix {i} of the stack"
         kind = "dissipative" if sign > 0 else "anti-dissipative"
         raise PreconditionError(
-            f"matrix is not {kind}: extremal eigenvalue of the imaginary part is "
-            f"{sign * margin:.3e}, tolerance {DISSIPATIVE_RTOL:g} * ||T|| = "
-            f"{DISSIPATIVE_RTOL * scale:.3e}"
+            f"{what} is not {kind}: extremal eigenvalue of the imaginary part is "
+            f"{sign * margin[i]:.3e}, tolerance {DISSIPATIVE_RTOL:g} * ||T|| = "
+            f"{DISSIPATIVE_RTOL * scale[i]:.3e}"
         )
 
 
-def _logm(m: np.ndarray, cfg: QuadratureConfig | None, sign: int) -> np.ndarray:
-    """The half-line integral for a nonempty matrix m, checked to be
-    dissipative and invertible first."""
+def _logm(stack: np.ndarray, cfg: QuadratureConfig | None, sign: int, single: bool) -> np.ndarray:
+    """Logarithms of a stack (m, n, n), every item checked to be dissipative
+    and invertible first, from one integral per STACK_ENTRIES entries."""
     cfg = cfg or DEFAULT_QUADRATURE
-    n = m.shape[0]
-    svals = np.linalg.svd(m, compute_uv=False)
-    _require_dissipative(m, max(float(svals[0]), np.finfo(float).tiny), sign)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > LOGM_COND_LIMIT:
-        cond = np.inf if svals[-1] == 0.0 else svals[0] / svals[-1]
+    count, n = stack.shape[:2]
+    if stack.size == 0:
+        return np.zeros(stack.shape, dtype=np.complex128)
+    svals = np.linalg.svd(stack, compute_uv=False)
+    smax, smin = svals[:, 0], svals[:, -1]
+    _require_dissipative(stack, np.maximum(smax, np.finfo(float).tiny), sign, single)
+    cond = np.divide(smax, smin, out=np.full(count, np.inf), where=smin > 0.0)
+    bad = cond > LOGM_COND_LIMIT
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "matrix" if single else f"matrix {i} of the stack"
         raise PreconditionError(
-            f"matrix is singular within working precision: condition estimate "
-            f"{cond:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
+            f"{what} is singular within working precision: condition estimate "
+            f"{cond[i]:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
         )
-    lam_max = cfg.tail_switch if cfg.tail_switch is not None else max(1.0, 4.0 * float(svals[0]))
+    per = max(1, STACK_ENTRIES // (n * n))
+    pieces = [_half_line(stack[i : i + per], svals[i : i + per], cfg) for i in range(0, count, per)]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
+
+def _half_line(stack: np.ndarray, svals: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+    """The half-line integral for a checked stack with singular values
+    ``svals`` (descending per item)."""
+    count, n = stack.shape[:2]
+    lam_max = cfg.tail_switch
+    if lam_max is None:
+        lam_max = max(1.0, 4.0 * float(svals[:, 0].max()))
     # mu = scale * x on the head; the power of two is exact and puts the fold
     # within a factor sqrt(2) of 1, so the tail panel keeps its digits
     scale = math.ldexp(1.0, round(math.log2(lam_max)))
     fold = lam_max / scale
-    delta = 0.5 * float(svals[-1]) / scale
-    residue = np.eye(n, dtype=np.complex128) - m  # the difference of resolvents
+    delta = 0.5 * float(svals[:, -1].min()) / scale
+    residue = np.eye(n, dtype=np.complex128) - stack  # the difference of resolvents
     # equals (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free for T ~ I
 
     def integrand(xs):
@@ -170,10 +223,12 @@ def _logm(m: np.ndarray, cfg: QuadratureConfig | None, sign: int) -> np.ndarray:
         head = xs <= fold
         a = np.where(head, 1.0, xs - fold)
         b = 1j * scale * np.where(head, xs, 1.0)
-        shifted = np.multiply(a[:, None, None], m, out=np.empty((xs.size, n, n), complex))
-        shifted.reshape(xs.size, -1)[:, :: n + 1] += b[:, None]
+        shifted = np.multiply(
+            a[:, None, None, None], stack, out=np.empty((xs.size, count, n, n), complex)
+        )
+        shifted.reshape(xs.size, count, -1)[:, :, :: n + 1] += b[:, None, None]
         out = np.linalg.solve(shifted, np.broadcast_to(residue, shifted.shape))
-        out *= (scale / (a + b))[:, None, None]
+        out *= (scale / (a + b))[:, None, None, None]
         return out
 
     # [0, delta], dyadic panels up to the fold (the resolvent norm is set by
@@ -184,31 +239,35 @@ def _logm(m: np.ndarray, cfg: QuadratureConfig | None, sign: int) -> np.ndarray:
         edges += steps[steps < fold].tolist()
     edges += [fold, fold + 1.0 / fold]
     val, _ = integrate_adaptive(
-        integrand, zip(edges[:-1], edges[1:]), cfg.rel_tol, cfg.max_panels, cfg.split_fraction
+        integrand,
+        zip(edges[:-1], edges[1:]),
+        cfg.rel_tol,
+        cfg.max_panels,
+        cfg.split_fraction,
+        stacked=True,
     )
     return -1j * val
 
 
 def logm_dissipative(t, cfg: QuadratureConfig | None = None) -> np.ndarray:
     """Logarithm of an invertible dissipative matrix via the half-line
-    resolvent integral.
+    resolvent integral; a stack (m, n, n) gives the stack of logarithms.
 
     Satisfies expm(log(T)) = T and 0 <= Im(log(T)) <= pi*I up to the
     quadrature tolerance.
     """
-    m = as_matrix(t)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return _logm(m, cfg, +1)
+    stack, single = _as_stack(t)
+    out = _logm(stack, cfg, +1, single)
+    return out[0] if single else out
 
 
 def logm_antidissipative(s, cfg: QuadratureConfig | None = None) -> np.ndarray:
-    """Logarithm of an invertible anti-dissipative matrix, defined as the
-    adjoint of the dissipative logarithm of the adjoint."""
-    m = as_matrix(s)
-    if m.shape[0] == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return _logm(m.conj().T, cfg, -1).conj().T
+    """Logarithm of an invertible anti-dissipative matrix (or of each matrix
+    of a stack), defined as the adjoint of the dissipative logarithm of the
+    adjoint."""
+    stack, single = _as_stack(s)
+    adj = _logm(stack.conj().swapaxes(-1, -2), cfg, -1, single).conj().swapaxes(-1, -2)
+    return adj[0] if single else adj
 
 
 def logm_oracle_diag(t, branch: Branch = Branch.LOG) -> np.ndarray:

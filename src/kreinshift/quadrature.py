@@ -11,6 +11,13 @@ the batched integrand.  The Kronrod and Gauss sums, norms and masses of a
 round are einsum contractions over (panels, 15 nodes, values).  Sums run
 in left-endpoint order, so results are bit-stable however the caller
 orders the segments.
+
+With ``stacked=True`` the leading axis of the integrand's values holds a
+stack of independent integrals that share one mesh.  Each item keeps its
+own estimate and tolerance, as if it were integrated alone; a round splits
+the panels ranked by their estimate relative to the item's tolerance, and
+the run ends when every item meets its own.  A lone integral is a stack of
+one through the same loop.
 """
 
 from __future__ import annotations
@@ -97,20 +104,33 @@ class PanelInfo:
     error: float
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod values, error estimates and masses of the panels [lo, hi],
-    all evaluated in one call of ``f``, and the shape of one value of f."""
+def _panels(f, lo: np.ndarray, hi: np.ndarray, stacked: bool):
+    """Kronrod values (panels, values), error estimates and masses
+    (panels, items) of the panels [lo, hi], all evaluated in one call of
+    ``f``, and the shape of one value of f."""
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.ascontiguousarray(f(xs.ravel()), dtype=np.complex128)
     shape = vals.shape[1:]
+    items = shape[0] if stacked else 1
     vals = vals.reshape(lo.size, _NODES.size, -1)
     ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
     ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
-    re_im = vals.view(np.float64)
-    mags = np.sqrt(np.einsum("pkv,pkv->pk", re_im, re_im))
-    mass = half * (mags @ _KRONROD_W)
-    return ik, np.linalg.norm(ik - ig, axis=1), mass, shape
+    errs = np.linalg.norm((ik - ig).reshape(lo.size, items, -1), axis=2)
+    re_im = vals.view(np.float64).reshape(lo.size, _NODES.size, items, -1)
+    mags = np.sqrt(np.einsum("pkbv,pkbv->pbk", re_im, re_im))
+    mass = half[:, None] * (mags.reshape(-1, _NODES.size) @ _KRONROD_W).reshape(lo.size, items)
+    return ik, errs, mass, shape
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms of the rows of a complex (items, values) array,
+    summed as ``np.linalg.norm`` sums one vector (the dot products of its
+    real and imaginary parts), so a stack of one sets the tolerance of the
+    unstacked integral bit for bit."""
+    re, im = x.real, x.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])
 
 
 def integrate_adaptive(
@@ -120,48 +140,61 @@ def integrate_adaptive(
     max_panels: int,
     split_fraction: float = 0.5,
     abs_tol: float = 0.0,
+    *,
+    stacked: bool = False,
 ):
     """Integrate a batched integrand over a union of intervals.
 
     ``f`` maps an array of abscissae (m,) to stacked values (m, ...); the
     interval endpoints themselves are never evaluated (the Kronrod nodes are
-    interior), so integrable endpoint behavior is tolerated.
+    interior), so integrable endpoint behavior is tolerated.  With
+    ``stacked`` the values are (m, items, ...): a stack of integrals, each
+    held to the tolerance it would get alone,
+    max(rel_tol * |its value|, abs_tol, roundoff floor * its mass).
 
     Works in rounds: each round bisects (at ``split_fraction``) the panels
-    with the largest error estimates until the panels left unsplit carry at
-    most half the tolerance, never going past ``max_panels``, and evaluates
-    all new panels in one call of ``f``.
+    with the largest error estimates, relative to their items' tolerances,
+    until the panels left unsplit carry at most half the tolerance of every
+    item, never going past ``max_panels``, and evaluates all new panels in
+    one call of ``f``.
 
-    Returns ``(value, PanelInfo)`` or raises ConvergenceError when the panel
-    budget is exhausted.
+    Returns ``(value, PanelInfo)``, whose error is the largest estimate of
+    an item, or raises ConvergenceError when the panel budget is exhausted.
     """
     ends = np.array(sorted((float(a), float(b)) for a, b in segments if b > a), dtype=float)
     if ends.size == 0:
         raise ConvergenceError("no integration segments supplied")
     lo, hi = ends[:, 0], ends[:, 1]
-    vals, errs, masses, shape = _panels(f, lo, hi)
+    floor = max(abs_tol, np.finfo(float).tiny)
+    vals, errs, masses, shape = _panels(f, lo, hi, stacked)
     while True:
         total = vals.sum(axis=0)
-        err = float(errs.sum())
-        tnorm = float(np.linalg.norm(total))
-        tol = max(rel_tol * tnorm, abs_tol, _EPS_FLOOR * float(masses.sum()), np.finfo(float).tiny)
-        if err <= tol:
-            return total.reshape(shape)[()], PanelInfo(lo.size, err)
+        err = errs.sum(axis=0)
+        tol = rel_tol * _norms(total.reshape(err.size, -1))
+        np.maximum(tol, floor, out=tol)
+        np.maximum(tol, _EPS_FLOOR * masses.sum(axis=0), out=tol)
+        if (err <= tol).all():
+            return total.reshape(shape)[()], PanelInfo(lo.size, max(err.tolist(), default=0.0))
         if lo.size >= max_panels:
+            worst = int(np.argmax(err / tol))
+            where = f" in item {worst} of {err.size}" if stacked else ""
             raise ConvergenceError(
-                f"quadrature left a residual estimate {err:.3e} after "
+                f"quadrature left a residual estimate {err[worst]:.3e}{where} after "
                 f"{lo.size} panels (rel_tol {rel_tol:g})"
             )
-        # split the fewest worst panels that leave at most tol/2 unsplit
-        worst = np.argsort(-errs, kind="stable")
-        unsplit = err - np.cumsum(errs[worst])
-        count = min(int(np.searchsorted(-unsplit, -0.5 * tol)) + 1, max_panels - lo.size)
+        # rank the panels by their worst estimate relative to its item's
+        # tolerance (one item: by the estimate itself, the same order) and
+        # split the fewest that leave at most tol/2 unsplit in every item
+        key = errs[:, 0] if err.size == 1 else (errs / tol).max(axis=1)
+        worst = np.argsort(-key, kind="stable")
+        unsplit = err - np.cumsum(errs[worst], axis=0)
+        count = min(int((unsplit > 0.5 * tol).sum(axis=0).max()) + 1, max_panels - lo.size)
         split = np.zeros(lo.size, dtype=bool)
         split[worst[:count]] = True
         mid = lo[split] + (hi[split] - lo[split]) * split_fraction
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new = (new_lo, new_hi, *_panels(f, new_lo, new_hi)[:3])
+        new = (new_lo, new_hi, *_panels(f, new_lo, new_hi, stacked)[:3])
         old = (lo, hi, vals, errs, masses)
         merged = [np.concatenate([x[~split], y]) for x, y in zip(old, new)]
         order = np.argsort(merged[0], kind="stable")

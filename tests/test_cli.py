@@ -282,6 +282,22 @@ class TestLogmCommand:
         assert out == "" and err.startswith("error:") and "rel_tol" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag, name", [("xi", "--rank-tol", "rank_tol"), ("logm", "--rel-tol", "rel_tol")]
+)
+def test_infinite_tolerance_exit_2(matrix_files, capsys, command, flag, name, value):
+    # an infinite rank tolerance would drop all of V, an infinite relative
+    # tolerance would accept any quadrature: both are usage errors
+    inputs = {
+        "xi": ["--h0", matrix_files["h0_diag2"], "--v", matrix_files["v39_1"]],
+        "logm": ["--t", matrix_files["t_2i"]],
+    }[command]
+    code, out, err = run_cli(capsys, command, *inputs, f"{flag}={value}")
+    assert code == 2
+    assert out == "" and err.splitlines() == [f"error: {name} must be finite and positive"]
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [("xi", flag) for flag in ("--eps0", "--conv-tol", "--rel-tol")]

@@ -3,6 +3,7 @@ import pytest
 
 from kreinshift.errors import ConvergenceError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_pair
+from kreinshift import herglotz
 from kreinshift.herglotz import (
     EpsSchedule,
     HerglotzFamily,
@@ -11,7 +12,8 @@ from kreinshift.herglotz import (
     shift_projection,
 )
 from kreinshift.matkit import frobenius, imaginary_part, trace_norm
-from kreinshift.oplog import logm_dissipative
+from kreinshift.oplog import logm_antidissipative, logm_dissipative
+from kreinshift.shift import safe_grid
 
 
 def rank_one_family(v: float) -> HerglotzFamily:
@@ -245,3 +247,73 @@ class TestFamilyConstruction:
     def test_non_hermitian_base_rejected(self):
         with pytest.raises(PreconditionError):
             HerglotzFamily.from_potential(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+
+def sequential_eps(fam, which, lam, sched=EpsSchedule()):
+    """The eps route one height at a time from lone logarithms: the value
+    and step where the Richardson iterates meet the Cauchy tolerance, or
+    None when the schedule runs out."""
+    if which is SignBlock.PLUS:
+        evaluate, take_log = fam.evaluate_phi_plus, logm_dissipative
+    else:
+        evaluate, take_log = fam.evaluate_phi_minus_tilde, logm_antidissipative
+    prev = prev_rich = None
+    eps = sched.eps0
+    for step in range(1, sched.max_steps + 1):
+        cur = take_log(evaluate(lam + 1j * eps))
+        if prev is not None:
+            rich = (cur - sched.factor * prev) / (1.0 - sched.factor)
+            if prev_rich is not None and frobenius(rich - prev_rich) <= sched.conv_tol:
+                return rich, step
+            prev_rich = rich
+        prev = cur
+        eps *= sched.factor
+    return None, sched.max_steps
+
+
+def clear_gap_points(fam, count=4):
+    """Gap points of safe_grid at least 0.5% of the spectral diameter from
+    every eigenvalue, evenly picked."""
+    eigs = fam.all_spectra()
+    grid = safe_grid(fam, 40)
+    gaps = grid[(grid > eigs.min()) & (grid < eigs.max())]
+    gaps = gaps[np.min(np.abs(gaps[:, None] - eigs), axis=1) >= 0.005 * fam.spectral_diameter()]
+    return gaps[np.linspace(0, gaps.size - 1, count).round().astype(int)]
+
+
+class TestStackedEpsRoute:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_sequential_scan(self, seed):
+        rng = np.random.default_rng(seed + 60)
+        fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
+        for lam in clear_gap_points(fam):
+            for which in SignBlock:
+                ref, steps = sequential_eps(fam, which, float(lam))
+                assert ref is not None
+                val, rec = boundary_log(fam, which, float(lam), route="eps")
+                assert (rec.route, rec.steps, rec.converged) == ("eps", steps, True)
+                assert frobenius(val - ref) <= 1e-12
+
+    def test_near_an_eigenvalue_still_raises(self):
+        rng = np.random.default_rng(40)
+        fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
+        lam = float(fam.eig0.eigenvalues[1] + 1e-5 * fam.spectral_diameter())
+        assert sequential_eps(fam, SignBlock.PLUS, lam)[0] is None
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            boundary_log(fam, SignBlock.PLUS, lam, route="eps")
+
+    def test_a_stack_that_raises_is_taken_one_height_at_a_time(self, monkeypatch):
+        # a stacked logarithm that fails (as one might at a height past the
+        # stopping step) must not turn a converged value into an error
+        def lone_only(t, cfg=None):
+            if np.ndim(t) == 3:
+                raise ConvergenceError("stack refused")
+            return logm_dissipative(t, cfg)
+
+        monkeypatch.setattr(herglotz, "logm_dissipative", lone_only)
+        rng = np.random.default_rng(61)
+        fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
+        lam = float(clear_gap_points(fam)[0])
+        ref, steps = sequential_eps(fam, SignBlock.PLUS, lam)
+        val, rec = boundary_log(fam, SignBlock.PLUS, lam, route="eps")
+        assert rec.steps == steps and np.array_equal(val, ref)

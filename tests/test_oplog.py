@@ -212,3 +212,78 @@ class TestBridge:
         w = np.linalg.eigvals(t)
         expected = sum(scalar_log(x) for x in w)
         assert trace(logm_dissipative(t)) == pytest.approx(expected, abs=1e-9)
+
+
+def _mixed_stack(rng, n, count):
+    """Dissipative matrices with norms from 1e-3 to 1e3, every other one
+    with a singular imaginary part (rank n - 1, or 0 when n = 1)."""
+    mats = []
+    for i, scale in enumerate(np.logspace(-3, 3, count)):
+        if i % 2:
+            c = rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))
+            t = random_hermitian(rng, n) + 1j * (c @ c.conj().T) / n
+        else:
+            t = random_dissipative(rng, n, allow_flat=False)
+        mats.append(scale * t)
+    return np.array(mats)
+
+
+class TestStackedLogarithms:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_items_match_lone_logarithms(self, n):
+        rng = np.random.default_rng(300 + n)
+        stack = _mixed_stack(rng, n, 9)
+        assert min(np.linalg.eigvalsh(imaginary_part(t))[0] for t in stack) <= 1e-12
+        logs = logm_dissipative(stack)
+        assert logs.shape == stack.shape
+        for t, l in zip(stack, logs):
+            lone = logm_dissipative(t)
+            assert frobenius(l - lone) <= 1e-13 * frobenius(lone)
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_anti_dissipative_items_match_lone_logarithms(self, n):
+        rng = np.random.default_rng(310 + n)
+        stack = _mixed_stack(rng, n, 7).conj().swapaxes(1, 2)
+        logs = logm_antidissipative(stack)
+        for s, l in zip(stack, logs):
+            lone = logm_antidissipative(s)
+            assert frobenius(l - lone) <= 1e-13 * frobenius(lone)
+
+    def test_stack_longer_than_one_integral_takes(self):
+        n = 12  # STACK_ENTRIES // n**2 = 7 matrices per integral
+        rng = np.random.default_rng(320)
+        stack = np.array([random_dissipative(rng, n, allow_flat=False) for _ in range(9)])
+        logs = logm_dissipative(stack)
+        for t, l in zip(stack, logs):
+            lone = logm_dissipative(t)
+            assert frobenius(l - lone) <= 1e-13 * frobenius(lone)
+
+    def test_two_dimensional_argument_stays_two_dimensional(self):
+        t = (2.0 + 1.0j) * np.eye(3)
+        assert logm_dissipative(t).shape == (3, 3)
+        assert np.array_equal(logm_dissipative(t[None])[0], logm_dissipative(t))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[-1j, 0.0], [0.0, 1.0]]), "matrix 2 of the stack is not dissipative"),
+            (np.zeros((2, 2)), "matrix 2 of the stack is singular"),
+            (np.full((2, 2), np.nan), "matrix 2 of the stack has non-finite entries"),
+        ],
+    )
+    def test_bad_item_is_named(self, bad, message):
+        good = (2.0 + 1.0j) * np.eye(2)
+        with pytest.raises(PreconditionError, match=message):
+            logm_dissipative(np.array([good, good, bad, good]))
+
+    def test_bad_anti_dissipative_item_is_named(self):
+        good = (2.0 - 1.0j) * np.eye(2)
+        bad = np.array([[1j, 0.0], [0.0, 1.0]])
+        with pytest.raises(PreconditionError, match="matrix 1 of the stack is not anti-dissipative"):
+            logm_antidissipative(np.array([good, bad]))
+
+    @pytest.mark.parametrize("shape", [(3, 0, 0), (0, 2, 2)])
+    def test_empty_stacks(self, shape):
+        for fn in (logm_dissipative, logm_antidissipative):
+            out = fn(np.zeros(shape, dtype=complex))
+            assert out.shape == shape and not out.any()

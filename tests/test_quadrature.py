@@ -97,3 +97,75 @@ class TestIntegratePiecewise:
     def test_empty_interval_raises(self):
         with pytest.raises(ConvergenceError, match="empty interval"):
             integrate_piecewise(np.cos, [1.0, 1.0], rel_tol=1e-10, max_panels=64)
+
+
+def _mixed_stack():
+    """1e6 (x - 0.3)^3, exact on one panel, and two Lorentzian peaks
+    c / ((x - x0)^2 + w^2) of weights 1e-6 and 1, with their exact integrals."""
+    peaks = ((1e-6, 0.7, 1e-2), (1.0, -0.4, 5e-2))
+
+    def f(xs):
+        items = [1e6 * (xs - 0.3) ** 3]
+        items += [c / ((xs - x0) ** 2 + w**2) for c, x0, w in peaks]
+        return np.stack(items, axis=1)
+
+    def exact(a, b):
+        out = [1e6 * ((b - 0.3) ** 4 - (a - 0.3) ** 4) / 4.0]
+        out += [c / w * (np.arctan((b - x0) / w) - np.arctan((a - x0) / w)) for c, x0, w in peaks]
+        return np.array(out)
+
+    return f, exact
+
+
+class TestStackedIntegrals:
+    def test_each_item_meets_its_own_tolerance(self):
+        f, exact = _mixed_stack()
+        segments = [(-1.0, 0.5), (0.5, 2.0)]
+        want = exact(-1.0, 2.0)
+        rel_tol = 1e-12
+        val, info = integrate_adaptive(f, segments, rel_tol=rel_tol, max_panels=512, stacked=True)
+        assert val.shape == (3,)
+        assert np.all(np.abs(val - want) <= rel_tol * np.abs(want))
+        assert info.panels > len(segments)
+        # one tolerance for the whole vector, set by the large item, leaves
+        # the small peak unresolved
+        joint, _ = integrate_adaptive(f, segments, rel_tol=rel_tol, max_panels=512)
+        assert abs(joint[1] - want[1]) > 1e3 * rel_tol * abs(want[1])
+
+    def test_stack_of_one_is_bit_identical_to_the_lone_call(self):
+        for rel_tol in (1e-6, 1e-10, 1e-13):
+            lone_val, lone_info = integrate_adaptive(
+                _matrix_integrand, SEGMENTS, rel_tol=rel_tol, max_panels=256
+            )
+            val, info = integrate_adaptive(
+                lambda xs: _matrix_integrand(xs)[:, None],
+                SEGMENTS,
+                rel_tol=rel_tol,
+                max_panels=256,
+                stacked=True,
+            )
+            assert val.shape == (1, 2, 2)
+            assert np.array_equal(val[0], lone_val)
+            assert info == lone_info
+
+    def test_one_divergent_item_exhausts_the_budget(self):
+        def f(xs):
+            return np.stack([np.cos(xs), 1.0 / (xs - 0.3) ** 2], axis=1)
+
+        with pytest.raises(ConvergenceError, match="in item 1 of 2 after 100 panels"):
+            integrate_adaptive(f, [(0.0, 1.0)], rel_tol=1e-10, max_panels=100, stacked=True)
+
+    def test_bit_identical_for_any_segment_order(self):
+        def f(xs):
+            return np.stack([np.exp(8j * xs), 1e-6 * xs**3 * np.sin(xs), 1e6 / (1.0 + xs**2)], axis=1)
+
+        ref_val, ref_info = integrate_adaptive(f, SEGMENTS, rel_tol=1e-12, max_panels=512, stacked=True)
+        assert ref_info.panels > len(SEGMENTS)
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            order = rng.permutation(len(SEGMENTS))
+            val, info = integrate_adaptive(
+                f, [SEGMENTS[i] for i in order], rel_tol=1e-12, max_panels=512, stacked=True
+            )
+            assert np.array_equal(val, ref_val)
+            assert info == ref_info

@@ -6,7 +6,7 @@ import pytest
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_pair
 from kreinshift.herglotz import EpsSchedule, HerglotzFamily, SignBlock, boundary_log
-from kreinshift.matkit import expm, frobenius
+from kreinshift.matkit import expm, frobenius, sign_factorization
 from kreinshift.oplog import (
     Branch,
     QuadratureConfig,
@@ -39,6 +39,22 @@ class TestConfigValidation:
             EpsSchedule(eps0=0.0)
         with pytest.raises(PreconditionError):
             EpsSchedule(factor=1.0)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("rel_tol", lambda x: QuadratureConfig(rel_tol=x)),
+            ("tail_switch", lambda x: QuadratureConfig(tail_switch=x)),
+            ("eps0", lambda x: EpsSchedule(eps0=x)),
+            ("conv_tol", lambda x: EpsSchedule(conv_tol=x)),
+            ("rank_tol", lambda x: sign_factorization(np.eye(2), rank_tol=x)),
+        ],
+        ids=["rel_tol", "tail_switch", "eps0", "conv_tol", "rank_tol"],
+    )
+    def test_non_finite_tolerances_refused(self, name, build, value):
+        with pytest.raises(PreconditionError, match=f"{name} must be finite and positive"):
+            build(value)
 
     def test_custom_tail_switch(self):
         t = (1.0 + 0.5j) * np.eye(2)
