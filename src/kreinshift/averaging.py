@@ -21,6 +21,7 @@ equals the lam-integral of f against the shift operator of the pair.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -39,9 +40,16 @@ from .matkit import (
     solve_shifted,
     trace,
 )
-from .oplog import QuadratureConfig, logm_dissipative
+from .oplog import logm_dissipative
 from .quadrature import integrate_piecewise
-from .shift import counting_steps, step_integral
+from .shift import (
+    IDENTITY_REL_TOL,
+    LAM_ABS_TOL,
+    LAM_MAX_PANELS,
+    LAM_REL_TOL,
+    counting_steps,
+    step_integral,
+)
 
 __all__ = [
     "PerturbationPath",
@@ -54,6 +62,11 @@ __all__ = [
     "operator_increment_residual",
     "OperatorAverageReport",
 ]
+
+# Gauss-Legendre nodes of the s-quadratures
+S_NODES = 32
+# step of the central difference in the derivative identity
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,17 +109,25 @@ class TestFunction:
 
     @classmethod
     def polynomial(cls, coeffs) -> "TestFunction":
-        return cls(kind="poly", coeffs=tuple(float(c) for c in coeffs))
+        coeffs = tuple(float(c) for c in coeffs)
+        if not all(math.isfinite(c) for c in coeffs):
+            raise PreconditionError("polynomial coefficients must be finite")
+        return cls(kind="poly", coeffs=coeffs)
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "TestFunction":
+        center, width = float(center), float(width)
+        if not (math.isfinite(center) and math.isfinite(width)):
+            raise PreconditionError("gaussian center and width must be finite")
         if width <= 0:
             raise PreconditionError("gaussian width must be positive")
-        return cls(kind="gauss", center=float(center), width=float(width))
+        return cls(kind="gauss", center=center, width=width)
 
     @classmethod
     def resolvent_im(cls, z: complex) -> "TestFunction":
         z = complex(z)
+        if not cmath.isfinite(z):
+            raise PreconditionError("resolvent point must be finite")
         if z.imag <= 0:
             raise PreconditionError("resolvent point must have positive imaginary part")
         return cls(kind="imres", z=z)
@@ -140,7 +161,9 @@ def _gauss_legendre(a: float, b: float, n: int):
     return 0.5 * (a + b) + half * xs, half * ws
 
 
-def averaged_pairing_lhs(h0, path: PerturbationPath, f: TestFunction, s_nodes: int = 32) -> float:
+def averaged_pairing_lhs(
+    h0, path: PerturbationPath, f: TestFunction, s_nodes: int = S_NODES
+) -> float:
     """s-quadrature of tr(V1 * f(H(s))) over the path interval.
 
     Exact (to roundoff) for polynomial f up to degree 2*s_nodes - 1, since
@@ -190,29 +213,20 @@ def averaged_pairing_rhs(h0, path: PerturbationPath, f: TestFunction) -> float:
     return float(np.real(val))
 
 
-def derivative_identity_residual(
-    h0,
-    path: PerturbationPath,
-    s: float,
-    z: complex,
-    h: float = 1e-5,
-    cfg: QuadratureConfig | None = None,
-    rank_tol: float = 1e-12,
-) -> float:
+def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: complex) -> float:
     """Residual of d/ds tr(log(phi(z, s))) = tr(V1 (H(s) - z)^(-1)).
 
     Valid for paths that stay positive semidefinite near s (shift the path
-    first otherwise); the left side is a central finite difference of the
-    traced logarithm, the right an exact resolvent trace, so the two sides
-    share no machinery.
+    first otherwise); the left side is a central finite difference (step
+    FD_STEP) of the traced logarithm, the right an exact resolvent trace,
+    so the two sides share no machinery.
     """
     z = complex(z)
     if z.imag == 0:
         raise PreconditionError("z must be off the real axis")
-    cfg = cfg or QuadratureConfig(rel_tol=1e-13)
     h0 = as_matrix(h0)
     scale = max(frobenius(path.v(s)), 1.0)
-    for s_probe in (s - h, s, s + h):
+    for s_probe in (s - FD_STEP, s, s + FD_STEP):
         w = np.linalg.eigvalsh(hermitian_part(path.v(s_probe)))
         if w.size and w[0] < -1e-10 * scale:
             raise PreconditionError(
@@ -221,15 +235,15 @@ def derivative_identity_residual(
             )
 
     def tr_log(s_val: float) -> complex:
-        fact = sign_factorization(path.v(s_val), rank_tol)
+        fact = sign_factorization(path.v(s_val))
         k = fact.k  # n_minus is 0 up to rounding for a psd slice
         r = k.shape[1]
         if r == 0:
             return 0.0 + 0.0j
         phi = np.eye(r, dtype=np.complex128) + k.conj().T @ solve_shifted(h0, z, k)
-        return trace(logm_dissipative(phi, cfg))
+        return trace(logm_dissipative(phi, IDENTITY_REL_TOL))
 
-    fd = (tr_log(s + h) - tr_log(s - h)) / (2.0 * h)
+    fd = (tr_log(s + FD_STEP) - tr_log(s - FD_STEP)) / (2.0 * FD_STEP)
     rhs = trace(path.v1 @ solve_shifted(h0 + path.v(s), z, np.eye(h0.shape[0])))
     return float(abs(fd - rhs))
 
@@ -266,16 +280,7 @@ class OperatorAverageReport:
     rhs: np.ndarray
 
 
-def _operator_pairing(
-    h0,
-    k,
-    f: TestFunction,
-    s1: float,
-    s2: float,
-    s_nodes: int,
-    rel_tol: float,
-    max_panels: int,
-) -> OperatorAverageReport:
+def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorAverageReport:
     h0 = as_matrix(h0)
     k = np.asarray(k, dtype=np.complex128)
     if k.ndim == 1:
@@ -289,7 +294,7 @@ def _operator_pairing(
         return OperatorAverageReport(0.0, z, z)
     kk = hermitian_part(k @ k.conj().T)
 
-    xs, ws = _gauss_legendre(s1, s2, s_nodes)
+    xs, ws = _gauss_legendre(s1, s2, S_NODES)
     lhs = np.zeros((r, r), dtype=np.complex128)
     for s, w in zip(xs, ws):
         fh = apply_spectral_function(h0 + float(s) * kk, f)
@@ -310,51 +315,30 @@ def _operator_pairing(
         rhs = np.zeros((r, r), dtype=np.complex128)
     else:
         rhs, _ = integrate_piecewise(
-            integrand, breakpoints, rel_tol, max_panels, abs_tol=1e-9
+            integrand, breakpoints, LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
         )
     rhs = hermitian_part(rhs) if f.kind != "imres" else rhs
     return OperatorAverageReport(float(frobenius(lhs - rhs)), lhs, rhs)
 
 
-def operator_average_residual(
-    h0,
-    k,
-    f: TestFunction,
-    s_nodes: int = 32,
-    rel_tol: float = 1e-7,
-    max_panels: int = 4096,
-) -> OperatorAverageReport:
+def operator_average_residual(h0, k, f: TestFunction) -> OperatorAverageReport:
     """Frobenius residual of the operator averaging identity on [0, 1]:
     the s-average of K* f(H0 + s KK*) K against the lam-integral of
     f(lam) times the shift operator of (H0, H0 + KK*)."""
-    return _operator_pairing(h0, k, f, 0.0, 1.0, s_nodes, rel_tol, max_panels)
+    return _operator_pairing(h0, k, f, 0.0, 1.0)
 
 
 def operator_increment_residual(
-    h0,
-    k,
-    s1: float,
-    s2: float,
-    f: TestFunction,
-    s_nodes: int = 32,
-    rel_tol: float = 1e-7,
-    max_panels: int = 4096,
+    h0, k, s1: float, s2: float, f: TestFunction
 ) -> OperatorAverageReport:
     """Same pairing restricted to [s1, s2], checked against the increment of
     the scaled shift operators."""
     if not s1 < s2:
         raise PreconditionError("require s1 < s2")
-    return _operator_pairing(h0, k, f, s1, s2, s_nodes, rel_tol, max_panels)
+    return _operator_pairing(h0, k, f, s1, s2)
 
 
-def operator_average_increment(
-    h0,
-    k,
-    s1: float,
-    s2: float,
-    lam: float,
-    rel_tol_rank: float = 1e-12,
-) -> np.ndarray:
+def operator_average_increment(h0, k, s1: float, s2: float, lam: float) -> np.ndarray:
     """Increment of the scaled shift operator between coupling strengths:
     Xi(lam, s2) - Xi(lam, s1) for the pairs (H0, H0 + s*KK*).
 

@@ -32,8 +32,8 @@ from .generators import (
 from .herglotz import HerglotzFamily, SignBlock, boundary_log
 from .matkit import expm, frobenius, imaginary_part, trace_norm
 from .oplog import (
+    DEFAULT_REL_TOL,
     Branch,
-    QuadratureConfig,
     logm_dissipative,
     logm_oracle_diag,
     scalar_log,
@@ -118,13 +118,12 @@ def check_logm_roundtrip(seed: int, samples: int = 50) -> list:
 
 def check_logm_scalar(seed: int, samples: int = 20) -> list:
     rng = np.random.default_rng(seed + 102)
-    cfg = QuadratureConfig()
     devs = []
     for _ in range(samples):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2.5))
-        l = logm_dissipative(z * np.eye(3), cfg)
+        l = logm_dissipative(z * np.eye(3))
         devs.append(frobenius(l - scalar_log(z) * np.eye(3)))
-    return [_line_max("scalar consistency on z*I", devs, cfg.rel_tol * 10)]
+    return [_line_max("scalar consistency on z*I", devs, DEFAULT_REL_TOL * 10)]
 
 
 def check_logm_continuity(seed: int) -> list:

@@ -8,13 +8,15 @@ Commands:
   op-average  operator-valued averaging identity for a factor K
 
 Exit codes: 0 success, 1 mathematical check or convergence failure,
-2 usage or parse error: a malformed or unknown flag, grid or test
-function, an unreadable or non-Hermitian matrix file, a non-positive
-tolerance, or an output file that cannot be opened.  Each command takes
-only the flags it reads: ``xi`` its ``--rank-tol``, ``logm`` its
-``--rel-tol``.  The output file is opened (or refused) before any work is
-done.  Every grid is evaluated in one process and thread, as batched numpy
-arrays; KREIN_SHIFT_THREADS is ignored.
+2 usage or parse error: a malformed or unknown flag, grid, s-range or test
+function (a non-finite bound or parameter included), an unreadable or
+non-Hermitian matrix file or one with non-numeric (e.g. boolean) entries
+or dim, a tolerance that is not finite and positive, or an output file
+that cannot be opened.  Each command takes only the flags it reads:
+``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
+opened (or refused) before any work is done.  Every grid is evaluated in
+one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is
+ignored.
 """
 
 from __future__ import annotations
@@ -39,13 +41,20 @@ from .errors import KreinShiftError, ParseError, PreconditionError
 from .herglotz import HerglotzFamily
 from .io import format_float, read_matrix, write_csv
 from .matkit import check_tolerance, expm, frobenius, hermitian_part, is_hermitian
-from .oplog import Branch, QuadratureConfig, logm_antidissipative, logm_dissipative, logm_oracle_diag
+from .oplog import Branch, logm_antidissipative, logm_dissipative, logm_oracle_diag
 from .shift import auto_grid, compute_profile
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
+
+def _check_flag(name: str, value: float) -> None:
+    """Refuse a tolerance flag that is not finite and positive."""
+    try:
+        check_tolerance(name, value)
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_grid(spec: str, fam: HerglotzFamily) -> np.ndarray:
@@ -71,6 +80,8 @@ def _parse_srange(spec: str) -> tuple[float, float]:
         a, b = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ParseError(f"bad s-range {spec!r}: {exc}") from exc
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ParseError(f"s-range bounds must be finite, got {spec!r}")
     if not a < b:
         raise ParseError(f"s-range must be increasing, got {spec!r}")
     return a, b
@@ -119,10 +130,7 @@ def _output(args):
 
 
 def _cmd_xi(args, stream) -> int:
-    try:
-        check_tolerance("rank_tol", args.rank_tol)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
+    _check_flag("rank_tol", args.rank_tol)
     h0 = _load_hermitian(args.h0, "base")
     v = _load_hermitian(args.v, "perturbation")
     if h0.shape != v.shape:
@@ -165,19 +173,16 @@ def _cmd_xi(args, stream) -> int:
 
 
 def _cmd_logm(args, stream) -> int:
-    try:
-        quad = QuadratureConfig(rel_tol=args.rel_tol)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
+    _check_flag("rel_tol", args.rel_tol)
     t, _ = read_matrix(args.t)
     branch = Branch.LN if args.branch == "ln" else Branch.LOG
     if branch is Branch.LN:
         # principal-branch diagnostic route through the eigendecomposition
         result = logm_oracle_diag(t, Branch.LN)
     elif args.anti:
-        result = logm_antidissipative(t, quad)
+        result = logm_antidissipative(t, args.rel_tol)
     else:
-        result = logm_dissipative(t, quad)
+        result = logm_dissipative(t, args.rel_tol)
     residual = frobenius(expm(result) - t) / max(frobenius(t), 1e-300)
     header = ["row", "col", "re", "im"]
     rows = [

@@ -18,11 +18,15 @@ one batched eigendecomposition, and it alone serves the shift operators and
 profiles.  ``boundary_log`` gives the logarithm itself, either directly at
 eps = 0 or by the definition: a vertical epsilon schedule lambda + i*eps
 with Richardson extrapolation, which the verification suites compare with
-the direct value.  The logarithms of the schedule are taken as stacks, one
-integral for the whole schedule when the block is small (see
-``oplog.STACK_ENTRIES``), and scanned in order; a stack that raises is
-taken again one height at a time, so the route raises only at a height
-that the scan reaches.
+the direct value.  The schedule is fixed: the heights 1e-2 * 2^(-k),
+k = 0, ..., 19 (EPS0, EPS_FACTOR, EPS_STEPS), stopping once two successive
+Richardson extrapolants differ by at most EPS_CONV_TOL = 1e-9 in Frobenius
+norm (the raw error is linear in eps, the extrapolated one quadratic, so
+the schedule meets that tolerance within its steps).  The logarithms of the
+schedule are taken as stacks, one integral for the whole schedule when the
+block is small (see ``oplog.STACK_ENTRIES``), and scanned in order; a stack
+that raises is taken again one height at a time, so the route raises only
+at a height that the scan reaches.
 """
 
 from __future__ import annotations
@@ -40,17 +44,15 @@ from .matkit import (
     SignedFactorization,
     apply_spectral_function,
     as_matrix,
-    check_tolerance,
     eig_hermitian,
     frobenius,
     hermitian_part,
     sign_factorization,
 )
-from .oplog import STACK_ENTRIES, QuadratureConfig, logm_antidissipative, logm_dissipative
+from .oplog import STACK_ENTRIES, logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
-    "EpsSchedule",
     "ConvergenceRecord",
     "HerglotzFamily",
     "ShiftProjection",
@@ -60,35 +62,15 @@ __all__ = [
 
 EXCLUSION_RTOL = 1e-9
 SINGULAR_RTOL = 1e-12
+EPS0 = 1e-2
+EPS_FACTOR = 0.5
+EPS_STEPS = 20
+EPS_CONV_TOL = 1e-9
 
 
 class SignBlock(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
-
-
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Geometric schedule for the vertical limit lambda + i*eps, eps -> 0.
-
-    The Cauchy criterion is applied to successive Richardson extrapolants of
-    the iterates (the raw error is linear in eps, the extrapolated one
-    quadratic, so the schedule meets tight tolerances within the step
-    budget)."""
-
-    eps0: float = 1e-2
-    factor: float = 0.5
-    max_steps: int = 20
-    conv_tol: float = 1e-9
-
-    def __post_init__(self):
-        check_tolerance("eps0", self.eps0)
-        if not 0.0 < self.factor < 1.0:
-            raise PreconditionError("factor must lie in (0, 1)")
-        check_tolerance("conv_tol", self.conv_tol)
-
-
-DEFAULT_SCHEDULE = EpsSchedule()
 
 
 @dataclass(frozen=True)
@@ -313,9 +295,7 @@ def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
     return log_abs + (sign * math.pi * 1j) * sp.projection[0]
 
 
-def _schedule_logs(
-    take_log, evaluate, lam: float, heights: np.ndarray, cfg: QuadratureConfig | None, chunk: int
-):
+def _schedule_logs(take_log, evaluate, lam: float, heights: np.ndarray, chunk: int):
     """Logarithms of evaluate(lam + i*eps) for the heights in order, taken
     as stacks of ``chunk`` heights and only as far as the caller reads.  A
     stack that raises is taken again one height at a time, so an error
@@ -323,9 +303,9 @@ def _schedule_logs(
     for start in range(0, heights.size, chunk):
         part = heights[start : start + chunk]
         try:
-            logs = take_log(evaluate(lam + 1j * part), cfg)
+            logs = take_log(evaluate(lam + 1j * part))
         except KreinShiftError:
-            logs = (take_log(evaluate(lam + 1j * eps), cfg) for eps in part)
+            logs = (take_log(evaluate(lam + 1j * eps)) for eps in part)
         yield from logs
 
 
@@ -333,20 +313,17 @@ def boundary_log(
     fam: HerglotzFamily,
     which: SignBlock,
     lam: float,
-    sched: EpsSchedule | None = None,
-    cfg: QuadratureConfig | None = None,
-    route: str = "auto",
+    route: str = "direct",
 ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Boundary value of the block logarithm at lambda + i0.
 
     ``route`` selects "direct" (evaluate at eps = 0, valid off the real
-    spectra where the boundary matrix is invertible Hermitian), "eps" (the
-    vertical schedule; approach is vertical only), or "auto" which prefers
-    the direct path and falls back to the schedule.
+    spectra where the boundary matrix is invertible Hermitian; raises
+    where it is singular) or "eps" (the vertical schedule; approach is
+    vertical only).
     """
-    sched = sched or DEFAULT_SCHEDULE
     lam = float(lam)
-    if route not in ("auto", "direct", "eps"):
+    if route not in ("direct", "eps"):
         raise PreconditionError(f"unknown route {route!r}")
     fam.check_off_spectrum(lam, which)
     if which is SignBlock.PLUS:
@@ -363,33 +340,31 @@ def boundary_log(
             ConvergenceRecord("empty", 0, 0.0, True),
         )
 
-    if route in ("auto", "direct"):
+    if route == "direct":
         val = _direct_boundary_log(evaluate(lam), which)
-        if val is not None:
-            return val, ConvergenceRecord("direct", 0, 0.0, True)
-        if route == "direct":
+        if val is None:
             raise PreconditionError(
                 f"boundary matrix is singular at lambda={lam!r}; "
                 "the direct route is unavailable"
             )
+        return val, ConvergenceRecord("direct", 0, 0.0, True)
 
-    # eps0, eps0 * factor, ...: multiplied in turn, as the steps of the schedule
-    heights = np.cumprod([sched.eps0] + [sched.factor] * (sched.max_steps - 1))[: sched.max_steps]
-    logs = _schedule_logs(take_log, evaluate, lam, heights, cfg, max(1, STACK_ENTRIES // block**2))
+    heights = EPS0 * EPS_FACTOR ** np.arange(EPS_STEPS)
+    logs = _schedule_logs(take_log, evaluate, lam, heights, max(1, STACK_ENTRIES // block**2))
     prev = None
     prev_rich = None
     cauchy = np.inf
     for step, cur in enumerate(logs, start=1):
         if prev is not None:
-            rich = (cur - sched.factor * prev) / (1.0 - sched.factor)
+            rich = (cur - EPS_FACTOR * prev) / (1.0 - EPS_FACTOR)
             if prev_rich is not None:
                 cauchy = frobenius(rich - prev_rich)
-                if cauchy <= sched.conv_tol:
+                if cauchy <= EPS_CONV_TOL:
                     return rich, ConvergenceRecord("eps", step, cauchy, True)
             prev_rich = rich
         prev = cur
     raise ConvergenceError(
         f"epsilon schedule did not converge at lambda={lam!r} within "
-        f"{sched.max_steps} steps (last Cauchy difference {cauchy:.3e}); "
+        f"{EPS_STEPS} steps (last Cauchy difference {cauchy:.3e}); "
         "lambda may be too close to an eigenvalue"
     )

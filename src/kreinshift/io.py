@@ -1,11 +1,12 @@
 """Matrix files and CSV emission.
 
 A matrix file is a JSON document with fields ``dim`` (positive integer),
-``entries`` (row-major list of [re, im] pairs, dim*dim of them) and an
-optional ``label``.  Floats are serialized with the shortest representation
-that round-trips, so write-then-read reproduces every representable double
-bit for bit.  CSV output uses the same float formatting, a dot decimal
-separator and no grouping, independent of locale.
+``entries`` (row-major list of [re, im] pairs of finite numbers, dim*dim of
+them) and an optional ``label``; JSON booleans are not numbers here.
+Floats are serialized with the shortest representation that round-trips,
+so write-then-read reproduces every representable double bit for bit.
+CSV output uses the same float formatting, a dot decimal separator and no
+grouping, independent of locale.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def read_matrix(path) -> tuple[np.ndarray, str | None]:
         raise ParseError(f"matrix file {path} lacks dim/entries fields")
     dim = doc["dim"]
     entries = doc["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    # exact types: bool, a subclass of int, is no number in a matrix file
+    if type(dim) is not int or dim < 1:
         raise ParseError(f"matrix file {path}: dim must be a positive integer")
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise ParseError(
@@ -58,7 +60,7 @@ def read_matrix(path) -> tuple[np.ndarray, str | None]:
     vals = np.empty(dim * dim, dtype=np.complex128)
     for i, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, (int, float)) for x in pair)):
+                and all(type(x) in (int, float) for x in pair)):
             raise ParseError(f"matrix file {path}: entry {i} is not a [re, im] pair of numbers")
         vals[i] = complex(float(pair[0]), float(pair[1]))
     if not np.all(np.isfinite(vals)):

@@ -6,8 +6,8 @@ half-line resolvent representation
     log(T) = -i * int_0^inf [ (T + i mu)^(-1) - (1 + i mu)^(-1) I ] d mu,
 
 evaluated as one adaptive Gauss-Kronrod integral.  The integrand decays like
-mu^(-2); the tail beyond a switch point L (default max(1, 4||T||)) is folded
-by u = 1/mu onto a finite interval, where it is O(1) and smooth, and placed
+mu^(-2); the tail beyond the switch point L = max(1, 4||T||) is folded by
+u = 1/mu onto a finite interval, where it is O(1) and smooth, and placed
 after the head: on [0, L] the variable is mu itself, on (L, L + 1/L] it is
 u = x - L.  Both parts are one batched solve of a(x) T + b(x) I per round
 of the quadrature.  The variable is scaled by a power of two that brings L
@@ -15,7 +15,10 @@ within a factor sqrt(2) of 1, so the folded panel keeps its digits however
 large ||T|| is.  The initial mesh is [0, delta] with delta = smin(T)/2
 (below it the resolvent norm is set by ||T^(-1)||), dyadic panels
 delta * 2^k up to L, and the folded tail: about log2(8 cond(T)) panels, on
-which most logarithms converge in one round.
+which most logarithms converge in one round.  Each further round bisects
+panels at their midpoints, within a budget of MAX_PANELS = 1024 panels.
+The relative tolerance, DEFAULT_REL_TOL = 1e-11 unless the caller passes
+``rel_tol``, is the one setting of the quadrature.
 
 Both logarithms also take a stack of matrices (m, n, n) and return the
 stack of their logarithms from one integral: one batched SVD and one
@@ -56,7 +59,6 @@ from .quadrature import integrate_adaptive
 
 __all__ = [
     "Branch",
-    "QuadratureConfig",
     "BridgeResult",
     "scalar_log",
     "logm_dissipative",
@@ -69,6 +71,8 @@ __all__ = [
 DISSIPATIVE_RTOL = 1e-12
 LOGM_COND_LIMIT = 1e12
 ORACLE_COND_LIMIT = 1e8
+DEFAULT_REL_TOL = 1e-11
+MAX_PANELS = 1024
 # entries (items * n * n) of the largest stack that one integral takes: a
 # round of the quadrature holds a few arrays of hundreds of abscissae times
 # this many complex numbers, so a longer stack is taken in pieces
@@ -85,32 +89,6 @@ class Branch(enum.Enum):
 
     LOG = "log"
     LN = "ln"
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and layout of the logarithm quadrature.
-
-    ``tail_switch`` is the point where the integral is folded; ``None`` means
-    max(1, 4*||T||), chosen per call.
-    """
-
-    rel_tol: float = 1e-11
-    split_fraction: float = 0.5
-    tail_switch: float | None = None
-    max_panels: int = 1024
-
-    def __post_init__(self):
-        check_tolerance("rel_tol", self.rel_tol)
-        if not 0.0 < self.split_fraction < 1.0:
-            raise PreconditionError("split_fraction must lie in (0, 1)")
-        if self.tail_switch is not None:
-            check_tolerance("tail_switch", self.tail_switch)
-        if self.max_panels < 64:
-            raise PreconditionError("max_panels must be at least 64")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def scalar_log(z, branch: Branch = Branch.LOG) -> complex:
@@ -179,10 +157,10 @@ def _require_dissipative(stack: np.ndarray, scale: np.ndarray, sign: int, single
         )
 
 
-def _logm(stack: np.ndarray, cfg: QuadratureConfig | None, sign: int, single: bool) -> np.ndarray:
+def _logm(stack: np.ndarray, rel_tol: float, sign: int, single: bool) -> np.ndarray:
     """Logarithms of a stack (m, n, n), every item checked to be dissipative
     and invertible first, from one integral per STACK_ENTRIES entries."""
-    cfg = cfg or DEFAULT_QUADRATURE
+    check_tolerance("rel_tol", rel_tol)
     count, n = stack.shape[:2]
     if stack.size == 0:
         return np.zeros(stack.shape, dtype=np.complex128)
@@ -199,17 +177,17 @@ def _logm(stack: np.ndarray, cfg: QuadratureConfig | None, sign: int, single: bo
             f"{cond[i]:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
         )
     per = max(1, STACK_ENTRIES // (n * n))
-    pieces = [_half_line(stack[i : i + per], svals[i : i + per], cfg) for i in range(0, count, per)]
+    pieces = [
+        _half_line(stack[i : i + per], svals[i : i + per], rel_tol) for i in range(0, count, per)
+    ]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
-def _half_line(stack: np.ndarray, svals: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
+def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarray:
     """The half-line integral for a checked stack with singular values
     ``svals`` (descending per item)."""
     count, n = stack.shape[:2]
-    lam_max = cfg.tail_switch
-    if lam_max is None:
-        lam_max = max(1.0, 4.0 * float(svals[:, 0].max()))
+    lam_max = max(1.0, 4.0 * float(svals[:, 0].max()))
     # mu = scale * x on the head; the power of two is exact and puts the fold
     # within a factor sqrt(2) of 1, so the tail panel keeps its digits
     scale = math.ldexp(1.0, round(math.log2(lam_max)))
@@ -239,34 +217,29 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, cfg: QuadratureConfig) -> n
         edges += steps[steps < fold].tolist()
     edges += [fold, fold + 1.0 / fold]
     val, _ = integrate_adaptive(
-        integrand,
-        zip(edges[:-1], edges[1:]),
-        cfg.rel_tol,
-        cfg.max_panels,
-        cfg.split_fraction,
-        stacked=True,
+        integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS, stacked=True
     )
     return -1j * val
 
 
-def logm_dissipative(t, cfg: QuadratureConfig | None = None) -> np.ndarray:
+def logm_dissipative(t, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Logarithm of an invertible dissipative matrix via the half-line
     resolvent integral; a stack (m, n, n) gives the stack of logarithms.
 
     Satisfies expm(log(T)) = T and 0 <= Im(log(T)) <= pi*I up to the
-    quadrature tolerance.
+    quadrature tolerance ``rel_tol`` (finite and positive).
     """
     stack, single = _as_stack(t)
-    out = _logm(stack, cfg, +1, single)
+    out = _logm(stack, rel_tol, +1, single)
     return out[0] if single else out
 
 
-def logm_antidissipative(s, cfg: QuadratureConfig | None = None) -> np.ndarray:
+def logm_antidissipative(s, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
     """Logarithm of an invertible anti-dissipative matrix (or of each matrix
     of a stack), defined as the adjoint of the dissipative logarithm of the
     adjoint."""
     stack, single = _as_stack(s)
-    adj = _logm(stack.conj().swapaxes(-1, -2), cfg, -1, single).conj().swapaxes(-1, -2)
+    adj = _logm(stack.conj().swapaxes(-1, -2), rel_tol, -1, single).conj().swapaxes(-1, -2)
     return adj[0] if single else adj
 
 
@@ -311,7 +284,7 @@ class BridgeResult:
         return abs(self.trace_log - self.log_det)
 
 
-def tr_log_det_bridge(a, cfg: QuadratureConfig | None = None) -> BridgeResult:
+def tr_log_det_bridge(a) -> BridgeResult:
     """Compare tr(log(I+A)) with log(det(I+A)) for (anti)dissipative I+A."""
     m = as_matrix(a)
     t = m + np.eye(m.shape[0], dtype=np.complex128)
@@ -319,9 +292,9 @@ def tr_log_det_bridge(a, cfg: QuadratureConfig | None = None) -> BridgeResult:
     im_eigs = np.linalg.eigvalsh(imaginary_part(t)) if t.size else np.zeros(0)
     tol = DISSIPATIVE_RTOL * scale
     if im_eigs.size == 0 or im_eigs[0] >= -tol:
-        lhs = trace(logm_dissipative(t, cfg))
+        lhs = trace(logm_dissipative(t))
     elif im_eigs[-1] <= tol:
-        lhs = trace(logm_antidissipative(t, cfg))
+        lhs = trace(logm_antidissipative(t))
     else:
         raise PreconditionError(
             "I + A is neither dissipative nor anti-dissipative within tolerance"

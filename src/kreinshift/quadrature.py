@@ -138,7 +138,6 @@ def integrate_adaptive(
     segments,
     rel_tol: float,
     max_panels: int,
-    split_fraction: float = 0.5,
     abs_tol: float = 0.0,
     *,
     stacked: bool = False,
@@ -152,11 +151,10 @@ def integrate_adaptive(
     held to the tolerance it would get alone,
     max(rel_tol * |its value|, abs_tol, roundoff floor * its mass).
 
-    Works in rounds: each round bisects (at ``split_fraction``) the panels
-    with the largest error estimates, relative to their items' tolerances,
-    until the panels left unsplit carry at most half the tolerance of every
-    item, never going past ``max_panels``, and evaluates all new panels in
-    one call of ``f``.
+    Works in rounds: each round bisects the panels with the largest error
+    estimates, relative to their items' tolerances, until the panels left
+    unsplit carry at most half the tolerance of every item, never going
+    past ``max_panels``, and evaluates all new panels in one call of ``f``.
 
     Returns ``(value, PanelInfo)``, whose error is the largest estimate of
     an item, or raises ConvergenceError when the panel budget is exhausted.
@@ -191,7 +189,7 @@ def integrate_adaptive(
         count = min(int((unsplit > 0.5 * tol).sum(axis=0).max()) + 1, max_panels - lo.size)
         split = np.zeros(lo.size, dtype=bool)
         split[worst[:count]] = True
-        mid = lo[split] + (hi[split] - lo[split]) * split_fraction
+        mid = lo[split] + (hi[split] - lo[split]) * 0.5
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
         new = (new_lo, new_hi, *_panels(f, new_lo, new_hi, stacked)[:3])

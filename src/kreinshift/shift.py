@@ -36,7 +36,7 @@ from .matkit import (
     trace,
     trace_norm,
 )
-from .oplog import QuadratureConfig, logm_antidissipative, logm_dissipative
+from .oplog import logm_antidissipative, logm_dissipative
 from .quadrature import integrate_piecewise
 
 __all__ = [
@@ -65,6 +65,14 @@ SNAP_RTOL = 1e-6
 # bytes of one stacked (points, dim, block) complex temporary of the batched
 # operator route; grids are evaluated in chunks that stay under it
 PROFILE_CHUNK_BYTES = 1 << 18
+# quadrature tolerance of the logarithms in the finite-difference identities
+IDENTITY_REL_TOL = 1e-13
+# tolerances and panel budget of the lam-integrals of shift operators
+LAM_REL_TOL = 1e-7
+LAM_ABS_TOL = 1e-9
+LAM_MAX_PANELS = 4096
+# padding of the spectral hull on the grids, relative to its diameter
+GRID_MARGIN = 0.05
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +270,6 @@ def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentit
     """tr V against the exact step integral of the shift function, the L1
     bound against the trace norm of V, and finite-difference residuals of
     the derivative identities for the traced block logarithms."""
-    cfg = QuadratureConfig(rel_tol=1e-13)
     knots, values = counting_steps(fam.eig0.eigenvalues, fam.eig_h.eigenvalues)
     integral = step_integral(knots, values, lambda t: t).real
     tr_v = trace(fam.v).real
@@ -276,7 +283,7 @@ def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentit
     ws = np.concatenate([zs + hs, zs - hs])
 
     def traced_logs(stack, take_log):
-        tr = np.trace(take_log(stack, cfg), axis1=1, axis2=2)
+        tr = np.trace(take_log(stack, IDENTITY_REL_TOL), axis1=1, axis2=2)
         return (tr[: zs.size] - tr[zs.size :]) / (2.0 * hs)
 
     d_plus = traced_logs(fam.evaluate_phi_plus(ws), logm_dissipative)
@@ -311,13 +318,7 @@ class ChainReport:
     points_used: int
 
 
-def chain_and_monotonicity(
-    h0,
-    v1,
-    v2,
-    grid,
-    rank_tol: float = 1e-12,
-) -> ChainReport:
+def chain_and_monotonicity(h0, v1, v2, grid) -> ChainReport:
     """Chain rule, antisymmetry and monotonicity of the shift function.
 
     All shift values are computed through the operator route and guarded by
@@ -329,11 +330,11 @@ def chain_and_monotonicity(
     h0 = as_matrix(h0)
     v1 = as_matrix(v1)
     v2 = as_matrix(v2)
-    fam_sum = HerglotzFamily.from_potential(h0, v1 + v2, rank_tol)
-    fam_1 = HerglotzFamily.from_potential(h0, v1, rank_tol)
-    fam_2 = HerglotzFamily.from_potential(h0, v2, rank_tol)
-    fam_12 = HerglotzFamily.from_potential(h0 + v1, v2, rank_tol)
-    fam_back = HerglotzFamily.from_potential(h0 + v1, -v1, rank_tol)
+    fam_sum = HerglotzFamily.from_potential(h0, v1 + v2)
+    fam_1 = HerglotzFamily.from_potential(h0, v1)
+    fam_2 = HerglotzFamily.from_potential(h0, v2)
+    fam_12 = HerglotzFamily.from_potential(h0 + v1, v2)
+    fam_back = HerglotzFamily.from_potential(h0 + v1, -v1)
     fams = (fam_sum, fam_1, fam_2, fam_12, fam_back)
 
     lams = np.asarray(grid, dtype=float)
@@ -442,12 +443,7 @@ def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
 # ----------------------------------------------------------------------
 # reconstruction of the block logarithm from the shift operator
 
-def herglotz_reconstruction_residual(
-    fam: HerglotzFamily,
-    z: complex,
-    rel_tol: float = 1e-7,
-    max_panels: int = 4096,
-) -> float:
+def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
     """Frobenius distance between log(phi_plus(z)) and the integral of the
     + shift operator against (lam - z)^(-1) over the support hull."""
     z = complex(z)
@@ -466,7 +462,9 @@ def herglotz_reconstruction_residual(
         ops = _regular(_block_operators(fam, SignBlock.PLUS, lams), lams)
         return ops / (lams - z)[:, None, None]
 
-    val, _ = integrate_piecewise(integrand, breakpoints, rel_tol, max_panels, abs_tol=1e-9)
+    val, _ = integrate_piecewise(
+        integrand, breakpoints, LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
+    )
     return float(frobenius(val - target))
 
 
@@ -526,27 +524,23 @@ def _distinct_spectra(fam: HerglotzFamily) -> np.ndarray:
     return np.asarray(keep)
 
 
-def auto_grid(fam: HerglotzFamily, margin: float = 0.05, points_per_gap: int = 1) -> np.ndarray:
+def auto_grid(fam: HerglotzFamily) -> np.ndarray:
     """Eigenvalue-derived grid: the joint spectra (snapped off their own
-    exclusion zones), interior points per gap, and hull endpoints padded by
-    the margin."""
+    exclusion zones), the midpoint of each gap, and hull endpoints padded by
+    GRID_MARGIN."""
     eigs = _distinct_spectra(fam)
-    pad = margin * max(fam.spectral_diameter(), 1.0)
-    pts = [eigs[0] - pad, eigs[-1] + pad]
-    pts.extend(eigs)
-    for a, b in zip(eigs[:-1], eigs[1:]):
-        for i in range(points_per_gap):
-            pts.append(a + (b - a) * (i + 1) / (points_per_gap + 1))
-    return np.unique(snap_grid(fam, np.asarray(sorted(pts))))
+    pad = GRID_MARGIN * max(fam.spectral_diameter(), 1.0)
+    pts = np.concatenate([[eigs[0] - pad, eigs[-1] + pad], eigs, eigs[:-1] + np.diff(eigs) / 2])
+    return np.unique(snap_grid(fam, np.sort(pts)))
 
 
-def safe_grid(fam: HerglotzFamily, n_min: int = 50, margin: float = 0.05) -> np.ndarray:
+def safe_grid(fam: HerglotzFamily, n_min: int = 50) -> np.ndarray:
     """At least n_min points clear of every exclusion zone: gap interiors of
-    the joint spectra plus padded hull endpoints."""
+    the joint spectra plus hull endpoints padded by GRID_MARGIN."""
     eigs = _distinct_spectra(fam)
     scale = fam.spectral_diameter()
     excl = fam.exclusion_width()
-    pad = margin * max(scale, 1.0)
+    pad = GRID_MARGIN * max(scale, 1.0)
     for k in range(1, 64):
         pts = [eigs[0] - pad, eigs[-1] + pad, eigs[0] - 0.5 * pad, eigs[-1] + 0.5 * pad]
         for a, b in zip(eigs[:-1], eigs[1:]):

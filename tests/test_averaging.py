@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,24 @@ class TestTestFunction:
             TestFunction.gaussian(0.0, -1.0)
         with pytest.raises(PreconditionError):
             TestFunction.resolvent_im(1.0 - 1.0j)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: TestFunction.polynomial([math.nan]),
+            lambda: TestFunction.polynomial([math.inf, 1.0]),
+            lambda: TestFunction.gaussian(0.0, math.inf),
+            lambda: TestFunction.gaussian(0.0, math.nan),
+            lambda: TestFunction.gaussian(math.nan, 1.0),
+            lambda: TestFunction.resolvent_im(complex(0.0, math.inf)),
+            lambda: TestFunction.resolvent_im(complex(math.nan, 1.0)),
+        ],
+        ids=["poly-nan", "poly-inf", "gauss-width-inf", "gauss-width-nan", "gauss-center-nan",
+             "imres-im-inf", "imres-re-nan"],
+    )
+    def test_non_finite_parameters_refused(self, build):
+        with pytest.raises(PreconditionError, match="finite"):
+            build()
 
 
 class TestWeakPairing:

@@ -28,6 +28,7 @@ def matrix_files(tmp_path):
     put("v39_1", np.array([[1.0, 0.4], [0.4, 1.0]]))
     put("h0_2", np.zeros((2, 2)))
     put("nonherm2", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    put("k_lower2", np.array([[1.0, 0.0], [0.5, 1.0]]))
     return paths
 
 
@@ -52,7 +53,7 @@ class TestMatrixFiles:
         assert np.array_equal(back.view(np.float64), tricky.view(np.float64))
 
     def test_parse_failures(self, tmp_path):
-        from kreinshift.errors import PreconditionError
+        from kreinshift.errors import ParseError, PreconditionError
 
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -66,6 +67,15 @@ class TestMatrixFiles:
         text.write_text('{"dim": 1, "entries": [["a", 0.0]]}')
         with pytest.raises(PreconditionError, match="pair of numbers"):
             read_matrix(text)
+        # JSON booleans are ints to Python, but not numbers in a matrix file
+        booldim = tmp_path / "booldim.json"
+        booldim.write_text('{"dim": true, "entries": [[1, 0]]}')
+        with pytest.raises(ParseError, match="dim must be a positive integer"):
+            read_matrix(booldim)
+        boolentry = tmp_path / "boolentry.json"
+        boolentry.write_text('{"dim": 1, "entries": [[true, false]]}')
+        with pytest.raises(ParseError, match="pair of numbers"):
+            read_matrix(boolentry)
 
     def test_format_float_round_trip(self):
         for x in (0.1, -1e-308, 2.0**-52, 1e300, -0.0, 123456789.123456789):
@@ -371,6 +381,25 @@ class TestAverageCommands:
         )
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--f", spec) for spec in (
+            "imres:0,inf", "imres:nan,1", "gauss:0,inf", "gauss:0,nan", "gauss:nan,1",
+            "poly:nan", "poly:inf,1",
+        )] + [("--s-range", "0:inf"), ("--s-range", "-inf:1")],
+    )
+    @pytest.mark.parametrize("command, factor", [("average", "v39_1"), ("op-average", "k_lower2")])
+    def test_non_finite_spec_exit_2(self, matrix_files, capsys, command, factor, flag, value):
+        # a non-finite test function or s-range is malformed input, never a
+        # result (imres:0,inf once printed zeros and exited 0)
+        option = "--v" if command == "average" else "--k"
+        code, out, err = run_cli(
+            capsys, command, "--h0", matrix_files["h0_diag2"], option, matrix_files[factor],
+            f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ["--eps0=-1", "--conv-tol=-5", "--rel-tol=0", "--rank-tol=1"])
     @pytest.mark.parametrize("command, factor", [("average", "--v"), ("op-average", "--k")])

@@ -5,14 +5,14 @@ from kreinshift.errors import ConvergenceError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_pair
 from kreinshift import herglotz
 from kreinshift.herglotz import (
-    EpsSchedule,
+    ConvergenceRecord,
     HerglotzFamily,
     SignBlock,
     boundary_log,
     shift_projection,
 )
 from kreinshift.matkit import frobenius, imaginary_part, trace_norm
-from kreinshift.oplog import logm_antidissipative, logm_dissipative
+from kreinshift.oplog import DEFAULT_REL_TOL, logm_antidissipative, logm_dissipative
 from kreinshift.shift import safe_grid
 
 
@@ -141,7 +141,7 @@ class TestBoundaryLog:
             direct, rd = boundary_log(fam, which, lam, route="direct")
             via_eps, re_ = boundary_log(fam, which, lam, route="eps")
             assert rd.route == "direct" and re_.route == "eps"
-            assert re_.cauchy <= EpsSchedule().conv_tol
+            assert re_.cauchy <= herglotz.EPS_CONV_TOL
             assert frobenius(direct - via_eps) <= 1e-8
 
     def test_eps_limit_check_line(self):
@@ -150,11 +150,6 @@ class TestBoundaryLog:
         (line,) = check_eps_limit(DEFAULT_SEED)
         assert line.name == "eps limit vs direct boundary log"
         assert line.ok and line.bound == 1e-6 and 0.0 < line.value < 1e-8
-
-    def test_schedule_validation(self):
-        for kwargs in ({"eps0": -1.0}, {"factor": 1.0}, {"conv_tol": 0.0}, {"conv_tol": -1.0}):
-            with pytest.raises(PreconditionError):
-                EpsSchedule(**kwargs)
 
     def test_exclusion_zone_rejected(self):
         fam = rank_one_family(1.0)
@@ -249,7 +244,7 @@ class TestFamilyConstruction:
             HerglotzFamily.from_potential(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
-def sequential_eps(fam, which, lam, sched=EpsSchedule()):
+def sequential_eps(fam, which, lam):
     """The eps route one height at a time from lone logarithms: the value
     and step where the Richardson iterates meet the Cauchy tolerance, or
     None when the schedule runs out."""
@@ -257,18 +252,19 @@ def sequential_eps(fam, which, lam, sched=EpsSchedule()):
         evaluate, take_log = fam.evaluate_phi_plus, logm_dissipative
     else:
         evaluate, take_log = fam.evaluate_phi_minus_tilde, logm_antidissipative
+    factor = herglotz.EPS_FACTOR
     prev = prev_rich = None
-    eps = sched.eps0
-    for step in range(1, sched.max_steps + 1):
+    eps = herglotz.EPS0
+    for step in range(1, herglotz.EPS_STEPS + 1):
         cur = take_log(evaluate(lam + 1j * eps))
         if prev is not None:
-            rich = (cur - sched.factor * prev) / (1.0 - sched.factor)
-            if prev_rich is not None and frobenius(rich - prev_rich) <= sched.conv_tol:
+            rich = (cur - factor * prev) / (1.0 - factor)
+            if prev_rich is not None and frobenius(rich - prev_rich) <= herglotz.EPS_CONV_TOL:
                 return rich, step
             prev_rich = rich
         prev = cur
-        eps *= sched.factor
-    return None, sched.max_steps
+        eps *= factor
+    return None, herglotz.EPS_STEPS
 
 
 def clear_gap_points(fam, count=4):
@@ -305,10 +301,10 @@ class TestStackedEpsRoute:
     def test_a_stack_that_raises_is_taken_one_height_at_a_time(self, monkeypatch):
         # a stacked logarithm that fails (as one might at a height past the
         # stopping step) must not turn a converged value into an error
-        def lone_only(t, cfg=None):
+        def lone_only(t, rel_tol=DEFAULT_REL_TOL):
             if np.ndim(t) == 3:
                 raise ConvergenceError("stack refused")
-            return logm_dissipative(t, cfg)
+            return logm_dissipative(t, rel_tol)
 
         monkeypatch.setattr(herglotz, "logm_dissipative", lone_only)
         rng = np.random.default_rng(61)
@@ -317,3 +313,27 @@ class TestStackedEpsRoute:
         ref, steps = sequential_eps(fam, SignBlock.PLUS, lam)
         val, rec = boundary_log(fam, SignBlock.PLUS, lam, route="eps")
         assert rec.steps == steps and np.array_equal(val, ref)
+
+
+@pytest.mark.parametrize("route", ["default", "eps", "auto", "bogus"])
+def test_boundary_log_routes(route):
+    # "direct" (the default) and "eps" are the only routes; the default no
+    # longer falls back to the eps schedule where the boundary matrix is
+    # singular
+    rng = np.random.default_rng(62)
+    fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
+    lam = float(clear_gap_points(fam)[0])
+    if route in ("auto", "bogus"):
+        with pytest.raises(PreconditionError, match="unknown route"):
+            boundary_log(fam, SignBlock.PLUS, lam, route=route)
+    elif route == "eps":
+        _, steps = sequential_eps(fam, SignBlock.PLUS, lam)
+        _, rec = boundary_log(fam, SignBlock.PLUS, lam, route="eps")
+        assert (rec.route, rec.steps) == ("eps", steps)
+    else:
+        _, rec = boundary_log(fam, SignBlock.PLUS, lam)
+        assert rec == ConvergenceRecord("direct", 0, 0.0, True)
+        # phi_plus(1) = 1 - 1/1 = 0 for H0 = 0, V = 1, outside the + block's
+        # exclusion zone
+        with pytest.raises(PreconditionError, match="singular"):
+            boundary_log(rank_one_family(1.0), SignBlock.PLUS, 1.0)

@@ -5,11 +5,11 @@ import pytest
 
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_pair
-from kreinshift.herglotz import EpsSchedule, HerglotzFamily, SignBlock, boundary_log
+from kreinshift import herglotz
+from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log
 from kreinshift.matkit import expm, frobenius, sign_factorization
 from kreinshift.oplog import (
     Branch,
-    QuadratureConfig,
     logm_dissipative,
     logm_oracle_diag,
     tr_log_det_bridge,
@@ -23,44 +23,18 @@ from kreinshift.shift import (
 
 
 class TestConfigValidation:
-    def test_quadrature_config(self):
-        with pytest.raises(PreconditionError):
-            QuadratureConfig(rel_tol=0.0)
-        with pytest.raises(PreconditionError):
-            QuadratureConfig(split_fraction=1.0)
-        with pytest.raises(PreconditionError):
-            QuadratureConfig(max_panels=32)
-        for bad in (0.0, -1.0, float("nan")):
-            with pytest.raises(PreconditionError, match="tail_switch"):
-                QuadratureConfig(tail_switch=bad)
-
-    def test_eps_schedule(self):
-        with pytest.raises(PreconditionError):
-            EpsSchedule(eps0=0.0)
-        with pytest.raises(PreconditionError):
-            EpsSchedule(factor=1.0)
-
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize(
         "name, build",
         [
-            ("rel_tol", lambda x: QuadratureConfig(rel_tol=x)),
-            ("tail_switch", lambda x: QuadratureConfig(tail_switch=x)),
-            ("eps0", lambda x: EpsSchedule(eps0=x)),
-            ("conv_tol", lambda x: EpsSchedule(conv_tol=x)),
+            ("rel_tol", lambda x: logm_dissipative(np.eye(2), rel_tol=x)),
             ("rank_tol", lambda x: sign_factorization(np.eye(2), rank_tol=x)),
         ],
-        ids=["rel_tol", "tail_switch", "eps0", "conv_tol", "rank_tol"],
+        ids=["rel_tol", "rank_tol"],
     )
     def test_non_finite_tolerances_refused(self, name, build, value):
         with pytest.raises(PreconditionError, match=f"{name} must be finite and positive"):
             build(value)
-
-    def test_custom_tail_switch(self):
-        t = (1.0 + 0.5j) * np.eye(2)
-        a = logm_dissipative(t, QuadratureConfig(tail_switch=7.0))
-        b = logm_dissipative(t)
-        assert frobenius(a - b) < 1e-10
 
 
 class TestOracleBranchCuts:
@@ -99,7 +73,7 @@ class TestEpsRouteStress:
                 for which in (SignBlock.PLUS, SignBlock.MINUS):
                     direct, _ = boundary_log(fam, which, float(lam), route="direct")
                     via_eps, rec = boundary_log(fam, which, float(lam), route="eps")
-                    assert rec.converged and rec.steps <= EpsSchedule().max_steps
+                    assert rec.converged and rec.steps <= herglotz.EPS_STEPS
                     worst = max(worst, frobenius(direct - via_eps))
         assert worst < 1e-8
 
