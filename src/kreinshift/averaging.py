@@ -14,9 +14,12 @@ that V(s) + W stays positive semidefinite on the whole interval (the shift
 cancels in the increment, but its validity is asserted, mirroring how the
 identity is actually established beyond sign-definite directions).
 
-The operator-valued refinement handles rank-structured nonnegative
-perturbations s*K*K directly: the s-average of K* E_{H(s)} K paired with f
-equals the lam-integral of f against the shift operator of the pair.
+The operator-valued refinement handles rank-structured perturbations
+s*K*K* with a coupling s of either sign: the s-average of K* E_{H(s)} K
+paired with f equals the lam-integral of f against the increment of the
+shift operators Xi(lam, s).  Each Xi(lam, s) comes from the
+``HerglotzFamily`` with factor sqrt|s|*K and J = sign(s): its + block
+operator when s > 0, minus its - block operator when s < 0.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .herglotz import shift_projection
+from .herglotz import HerglotzFamily, shift_projection
 from .matkit import (
+    SignedFactorization,
     apply_spectral_function,
     as_matrix,
-    eig_hermitian,
     frobenius,
     hermitian_part,
     positive_negative_parts,
-    sign_factorization,
     solve_shifted,
     trace,
 )
@@ -44,9 +46,6 @@ from .oplog import logm_dissipative
 from .quadrature import integrate_piecewise
 from .shift import (
     IDENTITY_REL_TOL,
-    LAM_ABS_TOL,
-    LAM_MAX_PANELS,
-    LAM_REL_TOL,
     counting_steps,
     step_integral,
 )
@@ -235,12 +234,8 @@ def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: comple
             )
 
     def tr_log(s_val: float) -> complex:
-        fact = sign_factorization(path.v(s_val))
-        k = fact.k  # n_minus is 0 up to rounding for a psd slice
-        r = k.shape[1]
-        if r == 0:
-            return 0.0 + 0.0j
-        phi = np.eye(r, dtype=np.complex128) + k.conj().T @ solve_shifted(h0, z, k)
+        # a psd slice has an empty - block up to rounding
+        phi = HerglotzFamily.from_potential(h0, path.v(s_val)).evaluate_phi_plus(z)
         return trace(logm_dissipative(phi, IDENTITY_REL_TOL))
 
     fd = (tr_log(s + FD_STEP) - tr_log(s - FD_STEP)) / (2.0 * FD_STEP)
@@ -251,26 +246,55 @@ def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: comple
 # ----------------------------------------------------------------------
 # operator-valued averaging for V = s * K K*
 
-def _xi_op_scaled(h0_eig, w, lams: np.ndarray, s: float) -> np.ndarray:
-    """Shift operators of the pair (H0, H0 + s*KK*) at the points lams,
-    stacked (m, r, r): the projections onto the negative spectral subspaces
-    of I + s*K*(H0-lam)^(-1)K."""
-    r = w.shape[1]
-    denom = h0_eig - lams[:, None]
-    hit = np.min(np.abs(denom), axis=-1) < 1e-300
-    if hit.any():
-        bad = float(lams[hit][0])
-        raise PreconditionError(f"lambda={bad!r} is an eigenvalue of the base matrix")
-    phi = np.eye(r, dtype=np.complex128) + s * (w.conj().T @ (w / denom[..., None]))
-    return shift_projection(phi).projection
+def _checked_factor(h0: np.ndarray, k, *params: float) -> np.ndarray:
+    """K as an (n, r) complex array, refused unless it has as many rows as
+    H0, finite entries and full column rank, and every coupling or point of
+    ``params`` is finite."""
+    k = np.asarray(k, dtype=np.complex128)
+    if k.ndim == 1:
+        k = k[:, None]
+    if k.ndim != 2 or k.shape[0] != h0.shape[0]:
+        raise PreconditionError("factor K must have as many rows as the base matrix")
+    if not np.all(np.isfinite(k)):
+        raise PreconditionError("factor K must have finite entries")
+    if not all(math.isfinite(p) for p in params):
+        raise PreconditionError("couplings and lambda must be finite")
+    if k.shape[1]:
+        sv = np.linalg.svd(k, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(sv[0], np.finfo(float).tiny):
+            raise PreconditionError("factor K must have full column rank")
+    return k
 
 
-def _check_full_column_rank(k: np.ndarray) -> None:
-    if k.shape[1] == 0:
-        return
-    s = np.linalg.svd(k, compute_uv=False)
-    if s[-1] <= 1e-12 * max(s[0], np.finfo(float).tiny):
-        raise PreconditionError("factor K must have full column rank")
+def _endpoint_terms(h0, k, s1: float, s2: float) -> list:
+    """(family, transfer matrix, weight) per nonzero end s of [s1, s2]: the
+    family of (H0, H0 + s*KK*) with factor sqrt|s|*K and J = sign(s), whose
+    shift operator Xi(lam, s) is its + block operator when s > 0 and minus
+    its - block operator when s < 0.  The weight carries that sign and the
+    sign of the end in Xi(lam, s2) - Xi(lam, s1)."""
+    r = k.shape[1]
+    terms = []
+    for s, end in ((s2, 1.0), (s1, -1.0)):
+        if s == 0.0:
+            continue
+        n_plus = r if s > 0 else 0
+        sign = math.copysign(1.0, s)
+        fam = HerglotzFamily(
+            h0, SignedFactorization(math.sqrt(abs(s)) * k, np.full(r, sign), n_plus, r - n_plus)
+        )
+        evaluate = fam.evaluate_phi_plus if s > 0 else fam.evaluate_phi_minus_tilde
+        terms.append((fam, evaluate, end * sign))
+    return terms
+
+
+def _increment(terms: list, lams: np.ndarray) -> np.ndarray:
+    """Xi(lam, s2) - Xi(lam, s1) at the points lams, stacked (m, r, r).
+
+    The block operators are read without the exclusion zones of the
+    profiles: a small coupling or a short [s1, s2] leaves pieces between
+    breakpoints narrower than a zone, and the lam-integral needs values
+    inside them."""
+    return sum(w * shift_projection(evaluate(lams)).projection for _, evaluate, w in terms)
 
 
 @dataclass(frozen=True)
@@ -282,15 +306,10 @@ class OperatorAverageReport:
 
 def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorAverageReport:
     h0 = as_matrix(h0)
-    k = np.asarray(k, dtype=np.complex128)
-    if k.ndim == 1:
-        k = k[:, None]
-    if k.shape[0] != h0.shape[0]:
-        raise PreconditionError("factor K must have as many rows as the base matrix")
-    _check_full_column_rank(k)
+    k = _checked_factor(h0, k, s1, s2)
     r = k.shape[1]
-    if r == 0 or not np.any(k):
-        z = np.zeros((r, r), dtype=np.complex128)
+    if r == 0:
+        z = np.zeros((0, 0), dtype=np.complex128)
         return OperatorAverageReport(0.0, z, z)
     kk = hermitian_part(k @ k.conj().T)
 
@@ -300,23 +319,18 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
         fh = apply_spectral_function(h0 + float(s) * kk, f)
         lhs = lhs + w * (k.conj().T @ fh @ k)
 
-    e0 = eig_hermitian(h0)
-    w0 = e0.vectors.conj().T @ k
-    ends = [np.linalg.eigvalsh(hermitian_part(h0 + s * kk)) for s in (s1, s2) if s != 0.0]
-    breakpoints = np.unique(np.concatenate([e0.eigenvalues] + ends))
+    terms = _endpoint_terms(h0, k, s1, s2)
+    breakpoints = np.unique(
+        np.concatenate([terms[0][0].eig0.eigenvalues] + [t[0].eig_h.eigenvalues for t in terms])
+    )
 
     def integrand(lams):
-        inc = _xi_op_scaled(e0.eigenvalues, w0, lams, s2)
-        if s1 != 0.0:
-            inc = inc - _xi_op_scaled(e0.eigenvalues, w0, lams, s1)
-        return np.array([f(float(lam)) for lam in lams])[:, None, None] * inc
+        return np.array([f(float(lam)) for lam in lams])[:, None, None] * _increment(terms, lams)
 
-    if breakpoints.size < 2:
+    if breakpoints.size < 2:  # a coupling too small to move any eigenvalue
         rhs = np.zeros((r, r), dtype=np.complex128)
     else:
-        rhs, _ = integrate_piecewise(
-            integrand, breakpoints, LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
-        )
+        rhs, _ = integrate_piecewise(integrand, breakpoints)
     rhs = hermitian_part(rhs) if f.kind != "imres" else rhs
     return OperatorAverageReport(float(frobenius(lhs - rhs)), lhs, rhs)
 
@@ -332,7 +346,7 @@ def operator_increment_residual(
     h0, k, s1: float, s2: float, f: TestFunction
 ) -> OperatorAverageReport:
     """Same pairing restricted to [s1, s2], checked against the increment of
-    the scaled shift operators."""
+    the scaled shift operators; either coupling may be negative."""
     if not s1 < s2:
         raise PreconditionError("require s1 < s2")
     return _operator_pairing(h0, k, f, s1, s2)
@@ -340,22 +354,16 @@ def operator_increment_residual(
 
 def operator_average_increment(h0, k, s1: float, s2: float, lam: float) -> np.ndarray:
     """Increment of the scaled shift operator between coupling strengths:
-    Xi(lam, s2) - Xi(lam, s1) for the pairs (H0, H0 + s*KK*).
+    Xi(lam, s2) - Xi(lam, s1) for the pairs (H0, H0 + s*KK*), s of either
+    sign.
 
     Hermitian with eigenvalues in [-1, 1] up to roundoff; vanishes when
-    s1 = s2 and reduces to the plain shift operator when s1 = 0.
+    s1 = s2 and reduces to the plain shift operator when s1 = 0.  Raises
+    PreconditionError where lam is an eigenvalue of H0.
     """
     h0 = as_matrix(h0)
-    k = np.asarray(k, dtype=np.complex128)
-    if k.ndim == 1:
-        k = k[:, None]
+    k = _checked_factor(h0, k, s1, s2, lam)
     r = k.shape[1]
     if s1 == s2 or r == 0:
         return np.zeros((r, r), dtype=np.complex128)
-    e0 = eig_hermitian(h0)
-    w0 = e0.vectors.conj().T @ k
-    lams = np.array([float(lam)])
-    out = _xi_op_scaled(e0.eigenvalues, w0, lams, float(s2))
-    if s1 != 0.0:
-        out = out - _xi_op_scaled(e0.eigenvalues, w0, lams, float(s1))
-    return out[0]
+    return _increment(_endpoint_terms(h0, k, s1, s2), np.array([float(lam)]))[0]

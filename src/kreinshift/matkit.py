@@ -26,7 +26,6 @@ __all__ = [
     "is_hermitian",
     "hermitian_part",
     "imaginary_part",
-    "inverse",
     "eig_hermitian",
     "apply_spectral_function",
     "solve_shifted",
@@ -99,10 +98,6 @@ def imaginary_part(a) -> np.ndarray:
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
     m = as_matrix(a)
     return frobenius(m - m.conj().T) <= rtol * max(frobenius(m), np.finfo(float).tiny)
-
-
-def inverse(a) -> np.ndarray:
-    return np.linalg.inv(as_matrix(a))
 
 
 @dataclass(frozen=True)

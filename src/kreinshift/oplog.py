@@ -65,7 +65,6 @@ __all__ = [
     "logm_antidissipative",
     "logm_oracle_diag",
     "tr_log_det_bridge",
-    "dissipativity_margin",
 ]
 
 DISSIPATIVE_RTOL = 1e-12
@@ -112,11 +111,6 @@ def scalar_log(z, branch: Branch = Branch.LOG) -> complex:
     if z.imag == 0.0 and z.real < 0.0:
         raise PreconditionError(f"argument {z} lies on the negative real axis cut")
     return cmath.log(z)
-
-
-def dissipativity_margin(t) -> float:
-    """Smallest eigenvalue of Im(T); nonnegative for dissipative T."""
-    return float(_margins(as_matrix(t)[None])[0])
 
 
 def _margins(stack: np.ndarray) -> np.ndarray:

@@ -18,6 +18,11 @@ own estimate and tolerance, as if it were integrated alone; a round splits
 the panels ranked by their estimate relative to the item's tolerance, and
 the run ends when every item meets its own.  A lone integral is a stack of
 one through the same loop.
+
+``integrate_piecewise`` integrates across breakpoints in one such run,
+starting from the pieces between them, with the fixed tolerances of the
+lam-integrals of shift operators (LAM_REL_TOL, LAM_ABS_TOL,
+LAM_MAX_PANELS).
 """
 
 from __future__ import annotations
@@ -94,6 +99,11 @@ _GAUSS_W = np.array(
 # sums, which scales with the absolute mass of the integrand rather than
 # with the (possibly cancelling) result.
 _EPS_FLOOR = 256 * np.finfo(float).eps
+# tolerances and panel budget of ``integrate_piecewise``, which takes the
+# lam-integrals of shift operators
+LAM_REL_TOL = 1e-7
+LAM_ABS_TOL = 1e-9
+LAM_MAX_PANELS = 4096
 
 
 @dataclass(frozen=True)
@@ -199,23 +209,16 @@ def integrate_adaptive(
         lo, hi, vals, errs, masses = (x[order] for x in merged)
 
 
-def integrate_piecewise(f, breakpoints, rel_tol: float, max_panels: int, abs_tol: float = 0.0):
-    """Integrate over [min(breakpoints), max(breakpoints)] splitting at each
-    interior breakpoint.  Each piece gets its own panel budget; zero-length
-    pieces are skipped."""
+def integrate_piecewise(f, breakpoints):
+    """Integrate over [min(breakpoints), max(breakpoints)] in one adaptive
+    run whose first panels are the consecutive pieces between breakpoints
+    (zero-length pieces skipped), so no panel straddles a breakpoint, as in
+    QUADPACK's ``qagp``.  The tolerances are fixed: LAM_REL_TOL relative to
+    the whole integral, LAM_ABS_TOL absolute, within LAM_MAX_PANELS panels.
+    Returns ``(value, PanelInfo)`` as ``integrate_adaptive`` does."""
     pts = np.sort(np.asarray(breakpoints, dtype=float))
-    total = None
-    worst = 0.0
-    npanels = 0
-    for a, b in zip(pts[:-1], pts[1:]):
-        if b <= a:
-            continue
-        val, info = integrate_adaptive(
-            f, [(float(a), float(b))], rel_tol, max_panels, abs_tol=abs_tol
-        )
-        total = val if total is None else total + val
-        worst += info.error
-        npanels += info.panels
-    if total is None:
+    if pts.size < 2 or not pts[-1] > pts[0]:
         raise ConvergenceError("breakpoints span an empty interval")
-    return total, PanelInfo(npanels, worst)
+    return integrate_adaptive(
+        f, zip(pts[:-1], pts[1:]), LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
+    )

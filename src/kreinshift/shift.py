@@ -67,10 +67,6 @@ SNAP_RTOL = 1e-6
 PROFILE_CHUNK_BYTES = 1 << 18
 # quadrature tolerance of the logarithms in the finite-difference identities
 IDENTITY_REL_TOL = 1e-13
-# tolerances and panel budget of the lam-integrals of shift operators
-LAM_REL_TOL = 1e-7
-LAM_ABS_TOL = 1e-9
-LAM_MAX_PANELS = 4096
 # padding of the spectral hull on the grids, relative to its diameter
 GRID_MARGIN = 0.05
 
@@ -462,9 +458,7 @@ def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
         ops = _regular(_block_operators(fam, SignBlock.PLUS, lams), lams)
         return ops / (lams - z)[:, None, None]
 
-    val, _ = integrate_piecewise(
-        integrand, breakpoints, LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
-    )
+    val, _ = integrate_piecewise(integrand, breakpoints)
     return float(frobenius(val - target))
 
 

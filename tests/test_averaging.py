@@ -241,3 +241,75 @@ class TestOperatorIncrement:
         f = TestFunction.polynomial([0.5, 0.3, -0.2])
         rep = operator_increment_residual(h0, k, 0.25, 0.9, f)
         assert rep.residual < 1e-4
+
+    @pytest.mark.parametrize("s1, s2", [(-1.0, -0.2), (-0.8, 0.6)])
+    def test_negative_couplings(self, s1, s2):
+        # the pairs (H0, H0 + s KK*) with s < 0 have nonpositive shift operators
+        rng = np.random.default_rng(83)
+        for _ in range(3):
+            n = int(rng.integers(2, 5))
+            r = int(rng.integers(1, min(2, n) + 1))
+            h0 = random_hermitian(rng, n)
+            k = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+            f = TestFunction.polynomial(rng.uniform(-1, 1, size=3))
+            assert operator_increment_residual(h0, k, s1, s2, f).residual < 1e-4
+
+    def test_negative_coupling_worked_pair(self):
+        h0 = np.diag([0.0, 1.0])
+        k = np.array([1.0, 0.5])
+        rep = operator_increment_residual(h0, k, -1.0, -0.2, TestFunction.polynomial([0.3, 1.0]))
+        assert rep.residual < 1e-4
+
+    @pytest.mark.parametrize("s1, s2", [(0.0, 1e-9), (0.5, 0.5 + 1e-12), (-1.0, -1.0 + 1e-10)])
+    def test_narrow_coupling_intervals(self, s1, s2):
+        # the pieces between breakpoints are narrower than the exclusion
+        # zones of the profiles, and the lam-integral still reads them
+        h0 = np.diag([0.0, 1.0])
+        k = np.array([[1.0, 0.0], [0.5, 1.0]])
+        f = TestFunction.polynomial([0.3, 1.0])
+        assert operator_increment_residual(h0, k, s1, s2, f).residual < 1e-12
+
+    @pytest.mark.parametrize("s", [-0.4, -1.3])
+    def test_negative_coupling_trace_is_counting_shift(self, s):
+        rng = np.random.default_rng(84)
+        h0 = random_hermitian(rng, 4)
+        k = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        e0 = np.linalg.eigvalsh(h0)
+        eh = np.linalg.eigvalsh(h0 + s * (k @ k.conj().T))
+        for lam in np.linspace(min(e0[0], eh[0]) - 0.3, max(e0[-1], eh[-1]) + 0.3, 11):
+            count = np.count_nonzero(e0 <= lam) - np.count_nonzero(eh <= lam)
+            inc = operator_average_increment(h0, k, 0.0, s, float(lam))
+            assert trace(inc).real == pytest.approx(count, abs=1e-10)
+
+
+def _factor_case(kind):
+    h0 = np.diag([0.0, 1.0, 2.5])
+    k = np.array([[1.0, 0.0], [0.5, 1.0], [0.2, -0.3]])
+    args = {"s1": 0.0, "s2": 1.0, "lam": 0.7}
+    if kind == "rows":
+        k = k[:2]
+    elif kind == "rank":
+        k = np.column_stack([k[:, 0], 2.0 * k[:, 0]])
+    elif kind == "nan-k":
+        k = k.copy()
+        k[1, 1] = math.nan
+    else:
+        args[kind] = math.nan
+    return h0, k, args
+
+
+FACTOR_CASES = ["rows", "rank", "nan-k", "s1", "s2", "lam"]
+
+
+class TestFactorCheck:
+    @pytest.mark.parametrize("kind", FACTOR_CASES)
+    def test_increment_refuses(self, kind):
+        h0, k, args = _factor_case(kind)
+        with pytest.raises(PreconditionError):
+            operator_average_increment(h0, k, args["s1"], args["s2"], args["lam"])
+
+    @pytest.mark.parametrize("kind", ["rows", "rank", "nan-k"])
+    def test_average_refuses(self, kind):
+        h0, k, _ = _factor_case(kind)
+        with pytest.raises(PreconditionError):
+            operator_average_residual(h0, k, TestFunction.polynomial([1.0, 0.5]))

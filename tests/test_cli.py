@@ -353,6 +353,20 @@ class TestAverageCommands:
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[0]) < 1e-6
 
+    def test_op_average_negative_couplings(self, matrix_files, capsys):
+        # the shift operators of H0 + s KK* with s < 0 carry the sign of s
+        code, out, _ = run_cli(
+            capsys,
+            "op-average",
+            "--h0",
+            matrix_files["h0_diag2"],
+            "--k",
+            matrix_files["k_lower2"],
+            "--s-range=-1:-0.2",
+        )
+        assert code == 0
+        assert float(out.strip().splitlines()[1].split(",")[0]) < 1e-4
+
     def test_bad_test_function_exit_2(self, matrix_files, capsys):
         code, _, err = run_cli(
             capsys,
