@@ -8,11 +8,10 @@ increment of the shift function:
 
 The left side is a Gauss-Legendre quadrature in s; the right side is exact,
 integrating f against the step representation of the counting difference
-with closed-form antiderivatives.  For paths whose direction V1 is
-indefinite the right side runs through a shifted base point W chosen so
-that V(s) + W stays positive semidefinite on the whole interval (the shift
-cancels in the increment, but its validity is asserted, mirroring how the
-identity is actually established beyond sign-definite directions).
+N_start - N_end of the endpoint spectra with closed-form antiderivatives.
+That difference is the increment xi(s2) - xi(s1) of the shift functions
+from any common base, so the direction V1 may be indefinite and no base
+enters the computation.
 
 The operator-valued refinement handles rank-structured perturbations
 s*K*K* with a coupling s of either sign: the s-average of K* E_{H(s)} K
@@ -38,7 +37,6 @@ from .matkit import (
     as_matrix,
     frobenius,
     hermitian_part,
-    positive_negative_parts,
     solve_shifted,
     trace,
 )
@@ -181,35 +179,13 @@ def averaged_pairing_lhs(
 
 def averaged_pairing_rhs(h0, path: PerturbationPath, f: TestFunction) -> float:
     """Exact pairing of f against the increment of the shift function
-    between the path endpoints.
-
-    Runs through the shifted base H0 - W with W = (s2-s1)*(V1)_- - V(s1)
-    whenever V1 is indefinite; V(s) + W is then positive semidefinite on the
-    whole interval (checked at the endpoints, which suffices for a linear
-    path since the smallest eigenvalue is concave in s).
-    """
+    between the path endpoints: the counting difference N_start - N_end of
+    the spectra of H0 + V(s1) and H0 + V(s2), integrated against f."""
     h0 = as_matrix(h0)
-    scale = max(frobenius(path.v1), np.finfo(float).tiny)
-    w1 = np.linalg.eigvalsh(path.v1)
-    base = h0
-    if w1.size and w1[0] < -1e-12 * scale and w1[-1] > 1e-12 * scale:
-        _, v1_minus = positive_negative_parts(path.v1)
-        shift = (path.s2 - path.s1) * v1_minus - path.v(path.s1)
-        for s_end in (path.s1, path.s2):
-            m = np.linalg.eigvalsh(hermitian_part(path.v(s_end) + shift))
-            if m.size and m[0] < -1e-10 * max(frobenius(shift), scale, 1.0):
-                raise PreconditionError(
-                    "shifted perturbation failed to be positive semidefinite"
-                )
-        base = hermitian_part(h0 - shift)
-
-    eigs_base = np.linalg.eigvalsh(base)
-    eigs_end = np.linalg.eigvalsh(hermitian_part(h0 + path.v(path.s2)))
     eigs_start = np.linalg.eigvalsh(hermitian_part(h0 + path.v(path.s1)))
-    k2, v2 = counting_steps(eigs_base, eigs_end)
-    k1, v1 = counting_steps(eigs_base, eigs_start)
-    val = step_integral(k2, v2, f.antiderivative) - step_integral(k1, v1, f.antiderivative)
-    return float(np.real(val))
+    eigs_end = np.linalg.eigvalsh(hermitian_part(h0 + path.v(path.s2)))
+    knots, values = counting_steps(eigs_start, eigs_end)
+    return float(np.real(step_integral(knots, values, f.antiderivative)))
 
 
 def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: complex) -> float:

@@ -7,12 +7,13 @@ Commands:
   average     weak-pairing averaging identity for a linear path
   op-average  operator-valued averaging identity for a factor K
 
-Exit codes: 0 success, 1 mathematical check or convergence failure,
-2 usage or parse error: a malformed or unknown flag, grid, s-range or test
-function (a non-finite bound or parameter included), an unreadable or
-non-Hermitian matrix file or one with non-numeric (e.g. boolean) entries
-or dim, a tolerance that is not finite and positive, or an output file
-that cannot be opened.  Each command takes only the flags it reads:
+Exit codes: 0 success, 1 mathematical check or convergence failure (an
+``average`` or ``op-average`` result that overflows double precision
+included), 2 usage or parse error: a malformed or unknown flag, grid,
+s-range or test function (a non-finite bound or parameter included), an
+unreadable or non-Hermitian matrix file or one with non-numeric (e.g.
+boolean) entries or dim, a tolerance that is not finite and positive, or
+an output file that cannot be opened.  Each command takes only the flags it reads:
 ``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
 opened (or refused) before any work is done.  Every grid is evaluated in
 one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is
@@ -110,6 +111,15 @@ def _load_hermitian(path, what: str) -> np.ndarray:
     if not is_hermitian(m, 1e-10):
         raise ParseError(f"{what} matrix in {path} is not Hermitian")
     return hermitian_part(m)
+
+
+def _write_finite_row(stream, header, row) -> None:
+    """Write a one-row CSV, refused when arithmetic on finite input left a
+    value that is not finite."""
+    bad = [f"{name} {format_float(x)}" for name, x in zip(header, row) if not math.isfinite(x)]
+    if bad:
+        raise KreinShiftError("result is not finite in double precision: " + ", ".join(bad))
+    write_csv(stream, header, [[format_float(x) for x in row]])
 
 
 @contextlib.contextmanager
@@ -213,14 +223,11 @@ def _cmd_average(args, stream) -> int:
     s1, s2 = _parse_srange(args.s_range)
     f = _parse_f(args.f)
     path = PerturbationPath(np.zeros_like(h0), v1, s1, s2)
-    lhs = averaged_pairing_lhs(h0, path, f)
-    rhs = averaged_pairing_rhs(h0, path, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = averaged_pairing_lhs(h0, path, f)
+        rhs = averaged_pairing_rhs(h0, path, f)
     resid = abs(lhs - rhs)
-    write_csv(
-        stream,
-        ["lhs", "rhs", "residual"],
-        [[format_float(lhs), format_float(rhs), format_float(resid)]],
-    )
+    _write_finite_row(stream, ["lhs", "rhs", "residual"], [lhs, rhs, resid])
     return EXIT_OK if resid < 1e-4 * (1.0 + abs(lhs)) else EXIT_MATH
 
 
@@ -230,13 +237,14 @@ def _cmd_op_average(args, stream) -> int:
     if k.shape[0] != h0.shape[0]:
         raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, K has {k.shape[0]} rows")
     f = _parse_f(args.f)
-    if args.s_range:
-        s1, s2 = _parse_srange(args.s_range)
-        rep = operator_increment_residual(h0, k, s1, s2, f)
-    else:
-        rep = operator_average_residual(h0, k, f)
-    row = [rep.residual, frobenius(rep.lhs), frobenius(rep.rhs)]
-    write_csv(stream, ["residual", "lhs_fro", "rhs_fro"], [[format_float(x) for x in row]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.s_range:
+            s1, s2 = _parse_srange(args.s_range)
+            rep = operator_increment_residual(h0, k, s1, s2, f)
+        else:
+            rep = operator_average_residual(h0, k, f)
+        row = [rep.residual, frobenius(rep.lhs), frobenius(rep.rhs)]
+    _write_finite_row(stream, ["residual", "lhs_fro", "rhs_fro"], row)
     return EXIT_OK if rep.residual < 1e-4 else EXIT_MATH
 
 

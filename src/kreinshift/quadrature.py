@@ -117,7 +117,8 @@ class PanelInfo:
 def _panels(f, lo: np.ndarray, hi: np.ndarray, stacked: bool):
     """Kronrod values (panels, values), error estimates and masses
     (panels, items) of the panels [lo, hi], all evaluated in one call of
-    ``f``, and the shape of one value of f."""
+    ``f``, and the shape of one value of f.  Raises ConvergenceError when a
+    panel's value or estimate is not finite, which no bisection repairs."""
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.ascontiguousarray(f(xs.ravel()), dtype=np.complex128)
@@ -127,6 +128,14 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, stacked: bool):
     ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
     ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
     errs = np.linalg.norm((ik - ig).reshape(lo.size, items, -1), axis=2)
+    # a value that is not finite leaves its estimate not finite too
+    finite = np.isfinite(errs).all(axis=1)
+    if not finite.all():
+        p = int(np.argmin(finite))
+        raise ConvergenceError(
+            f"quadrature panel [{lo[p]:g}, {hi[p]:g}] has a value or error estimate "
+            "that is not finite"
+        )
     re_im = vals.view(np.float64).reshape(lo.size, _NODES.size, items, -1)
     mags = np.sqrt(np.einsum("pkbv,pkbv->pbk", re_im, re_im))
     mass = half[:, None] * (mags.reshape(-1, _NODES.size) @ _KRONROD_W).reshape(lo.size, items)
@@ -167,7 +176,8 @@ def integrate_adaptive(
     past ``max_panels``, and evaluates all new panels in one call of ``f``.
 
     Returns ``(value, PanelInfo)``, whose error is the largest estimate of
-    an item, or raises ConvergenceError when the panel budget is exhausted.
+    an item, or raises ConvergenceError when the panel budget is exhausted
+    or as soon as a panel's value or estimate is not finite.
     """
     ends = np.array(sorted((float(a), float(b)) for a, b in segments if b > a), dtype=float)
     if ends.size == 0:

@@ -45,7 +45,8 @@ def report(criterion: str, lines, elapsed: float | None = None, budget: float | 
 
 def test_criterion_01_oracle_equivalence():
     t0 = time.time()
-    lines = check_oracle_equivalence(SEED, count=20)
+    lines = check_oracle_equivalence(SEED)
+    assert lines[0].note.startswith("20 instances, >= 50 points")
     report(
         "criterion 1: operator route equals counting oracle (20 instances, >=50 points)",
         lines,
@@ -56,7 +57,8 @@ def test_criterion_01_oracle_equivalence():
 
 def test_criterion_02_trace_formula():
     t0 = time.time()
-    lines = check_trace_formula(SEED, count=10, z_per=10)
+    lines = check_trace_formula(SEED)
+    assert lines[0].note.startswith("10 instances x 10 points")
     report(
         "criterion 2: resolvent trace formula residual < 1e-8 relative",
         lines,
@@ -66,13 +68,15 @@ def test_criterion_02_trace_formula():
 
 
 def test_criterion_03_determinant_route():
-    lines = check_det_route(SEED, count=20)
+    lines = check_det_route(SEED)
+    assert lines[0].note.startswith("20 instances")
     report("criterion 3: determinant route equals counting oracle", lines)
 
 
 def test_criterion_04_operator_logarithm():
     t0 = time.time()
-    lines = check_logm_roundtrip(SEED, samples=50)
+    lines = check_logm_roundtrip(SEED)
+    assert lines[0].note.startswith("50 draws")
     report(
         "criterion 4: exp(log T) = T and 0 <= Im log T <= pi (50 dissipative draws)",
         lines,
@@ -82,22 +86,26 @@ def test_criterion_04_operator_logarithm():
 
 
 def test_criterion_05_inverse_identities():
-    lines = check_inverse_identities(SEED, samples=20)
+    lines = check_inverse_identities(SEED)
+    assert lines[0].note.startswith("20 draws")
     report("criterion 5: closed-form inverses within 1e-10", lines)
 
 
 def test_criterion_06_trace_of_perturbation():
-    lines = check_trace_identities(SEED, count=20)
+    lines = check_trace_identities(SEED)
+    assert lines[0].note.startswith("20 instances")
     report("criterion 6: tr(V) equals shift integral; L1 bound holds", lines)
 
 
 def test_criterion_07_derivative_identities():
-    lines = check_fd_identities(SEED, count=10)
+    lines = check_fd_identities(SEED)
+    assert lines[0].note.startswith("10 instances")
     report("criterion 7: traced-log derivative identities at 5 z-points", lines)
 
 
 def test_criterion_08_chain_and_monotonicity():
-    lines = check_chain(SEED, count=10)
+    lines = check_chain(SEED)
+    assert lines[0].note.startswith("10 instances")
     report("criterion 8: chain rule and monotonicity", lines)
 
 
@@ -108,7 +116,8 @@ def test_criterion_09_worked_example():
 
 def test_criterion_10_spectral_averaging():
     t0 = time.time()
-    lines = check_averaging(SEED, count=10)
+    lines = check_averaging(SEED)
+    assert lines[0].note.startswith("10 instances")
     report(
         "criterion 10: weak averaging identity (indefinite directions)",
         lines,
@@ -118,12 +127,14 @@ def test_criterion_10_spectral_averaging():
 
 
 def test_criterion_11_operator_averaging():
-    lines = check_op_average(SEED, count=5)
+    lines = check_op_average(SEED)
+    assert lines[0].note.startswith("5 instances")
     report("criterion 11: operator averaging and increment consistency", lines)
 
 
 def test_criterion_12_herglotz_reconstruction():
-    lines = check_reconstruction(SEED, samples=5)
+    lines = check_reconstruction(SEED)
+    assert lines[0].note.startswith("5 draws")
     report("criterion 12: block logarithm rebuilt from the shift operator", lines)
 
 

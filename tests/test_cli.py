@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from kreinshift import cli
+from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
 from kreinshift.cli import main
 from kreinshift.io import format_float, read_matrix, write_matrix
 
@@ -415,6 +417,29 @@ class TestAverageCommands:
         assert code == 2
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "command, factor, flag",
+        [
+            ("average", "v39_1", "--s-range=-1e300:1e300"),
+            ("average", "v39_1", "--s-range=0:1e308"),
+            ("op-average", "k_lower2", "--f=poly:1e200,1e200,1e200"),
+            ("op-average", "k_lower2", "--s-range=0:1e300"),
+        ],
+    )
+    def test_overflow_exit_1(self, matrix_files, capsys, command, factor, flag):
+        # finite, well-formed input whose arithmetic overflows is a math
+        # failure: one error line, no warning and no row of nan or inf
+        option = "--v" if command == "average" else "--k"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(
+                capsys, command, "--h0", matrix_files["h0_diag2"], option, matrix_files[factor],
+                flag,
+            )
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize("flag", ["--eps0=-1", "--conv-tol=-5", "--rel-tol=0", "--rank-tol=1"])
     @pytest.mark.parametrize("command, factor", [("average", "--v"), ("op-average", "--k")])
     def test_tolerance_flags_refused(self, matrix_files, capsys, command, factor, flag):
@@ -454,6 +479,18 @@ class TestCheckCommand:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "check", "nonsense")
         assert code == 2
+        with pytest.raises(KeyError):
+            run_suite("nonsense")
+
+    def test_all_is_each_suite_in_order(self, capsys):
+        blocks = []
+        for name in SUITE_NAMES:
+            code, out, _ = run_cli(capsys, "check", name)
+            assert code == 0 and out.startswith(f"suite {name} (seed {DEFAULT_SEED})\n")
+            blocks.append(out.removesuffix("overall: PASS\n"))
+        code, out, _ = run_cli(capsys, "check", "all")
+        assert code == 0
+        assert out == "".join(blocks) + "overall: PASS\n"
 
     def test_deterministic_across_threads(self, capsys, monkeypatch):
         outputs = []

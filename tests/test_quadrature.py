@@ -77,6 +77,20 @@ class TestIntegrateAdaptive:
         with pytest.raises(ConvergenceError, match="no integration segments"):
             integrate_adaptive(np.cos, segments, rel_tol=1e-10, max_panels=64)
 
+    def test_overflowing_panel_raises_at_once(self):
+        # the Kronrod and Gauss sums of 1e308 overflow; no bisection repairs
+        # that, so the run stops after its first call of the integrand
+        calls = []
+
+        def huge(xs):
+            calls.append(xs.size)
+            return np.full(xs.size, 1e308)
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match="not finite"):
+                integrate_adaptive(huge, [(0.0, 1.0)], rel_tol=1e-10, max_panels=4096)
+        assert len(calls) == 1
+
     def test_scalar_integrand(self):
         val, info = integrate_adaptive(np.cos, [(0.0, np.pi / 2)], rel_tol=1e-12, max_panels=64)
         assert np.ndim(val) == 0

@@ -295,6 +295,14 @@ class TestReconstruction:
         fam = rank_one_family(1.0)
         assert herglotz_reconstruction_residual(fam, 1.0 + 2.0j) < 1e-6
 
+    @pytest.mark.parametrize("t", [1e-8, 1e-10])
+    def test_small_perturbation(self, t):
+        # the pieces between breakpoints are narrower than an exclusion
+        # zone, and the integral still reads the operator inside them
+        v = t * np.array([[1.0, 0.5], [0.5, 0.25]])
+        fam = HerglotzFamily.from_potential(np.diag([0.0, 1.0]), v)
+        assert herglotz_reconstruction_residual(fam, 1.0 + 2.0j) < 1e-12
+
     def test_random_psd(self):
         rng = np.random.default_rng(61)
         h0 = random_hermitian(rng, 4)
