@@ -24,6 +24,7 @@ operator when s > 0, minus its - block operator when s < 0.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -152,8 +153,17 @@ class TestFunction:
         raise PreconditionError(f"unknown test function kind {self.kind!r}")
 
 
-def _gauss_legendre(a: float, b: float, n: int):
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n."""
     xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.setflags(write=False)
+    ws.setflags(write=False)
+    return xs, ws
+
+
+def _gauss_legendre(a: float, b: float, n: int):
+    xs, ws = _legendre_rule(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * xs, half * ws
 
@@ -170,10 +180,10 @@ def averaged_pairing_lhs(
         raise PreconditionError("s_nodes must be at least 8")
     h0 = as_matrix(h0)
     xs, ws = _gauss_legendre(path.s1, path.s2, s_nodes)
+    fhs = apply_spectral_function(np.stack([h0 + path.v(float(s)) for s in xs]), f)
     acc = 0.0
-    for s, w in zip(xs, ws):
-        fh = apply_spectral_function(h0 + path.v(float(s)), f)
-        acc += w * trace(path.v1 @ fh).real
+    for w, prod in zip(ws, path.v1 @ fhs):
+        acc += w * trace(prod).real
     return float(acc)
 
 
@@ -290,10 +300,10 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
     kk = hermitian_part(k @ k.conj().T)
 
     xs, ws = _gauss_legendre(s1, s2, S_NODES)
+    fhs = apply_spectral_function(np.stack([h0 + float(s) * kk for s in xs]), f)
     lhs = np.zeros((r, r), dtype=np.complex128)
-    for s, w in zip(xs, ws):
-        fh = apply_spectral_function(h0 + float(s) * kk, f)
-        lhs = lhs + w * (k.conj().T @ fh @ k)
+    for w, sandwich in zip(ws, k.conj().T @ fhs @ k):
+        lhs = lhs + w * sandwich
 
     terms = _endpoint_terms(h0, k, s1, s2)
     breakpoints = np.unique(

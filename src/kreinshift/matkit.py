@@ -85,8 +85,9 @@ def trace_norm(a) -> float:
 
 
 def hermitian_part(a) -> np.ndarray:
+    """(A + A*)/2, or one per matrix of a stack."""
     m = np.asarray(a, dtype=np.complex128)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
 def imaginary_part(a) -> np.ndarray:
@@ -136,23 +137,50 @@ def eig_hermitian(a) -> HermitianEig:
 def apply_spectral_function(a, f) -> np.ndarray:
     """Return U diag(f(w_i)) U* for the Hermitian eigendecomposition of ``a``.
 
-    ``f`` is a scalar function evaluated at each eigenvalue; it must be finite
-    there.  The output is re-symmetrized when ``f`` is real valued.
+    ``a`` is one matrix or a stack (m, n, n); a stack gives the stack of
+    results from one batched ``eigh``, each equal to the result for its
+    matrix alone.  Each matrix must be Hermitian within ``1e-12 * ||A||_F``
+    (a refusal names the index of the first that is not).  ``f`` is a scalar
+    function evaluated at each eigenvalue; it must be finite there.  The
+    output is re-symmetrized when ``f`` is real valued.
     """
-    e = eig_hermitian(a)
+    m = np.asarray(a, dtype=np.complex128)
+    stacked = m.ndim == 3
+    if stacked:
+        if m.shape[1] != m.shape[2]:
+            raise PreconditionError(f"expected a stack of square matrices, got shape {m.shape}")
+        if m.size and not np.all(np.isfinite(m)):
+            raise PreconditionError("matrix entries must be finite")
+    else:
+        m = as_matrix(m)[None]
+    dev = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
+    limit = HERMITIAN_RTOL * np.linalg.norm(m, axis=(-2, -1))
+    bad = np.flatnonzero(dev > np.maximum(limit, HERMITIAN_RTOL * np.finfo(float).tiny))
+    if bad.size:
+        i = int(bad[0])
+        which = f"matrix {i} of the stack" if stacked else "matrix"
+        raise PreconditionError(
+            f"{which} is not Hermitian: asymmetry {dev[i]:.3e} exceeds "
+            f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
+        )
+    w, u = np.linalg.eigh(hermitian_part(m))
     try:
         vals = np.asarray(
-            [complex(f(float(x))) for x in e.eigenvalues], dtype=np.complex128
-        )
+            [complex(f(float(x))) for x in w.ravel()], dtype=np.complex128
+        ).reshape(w.shape)
     except (ArithmeticError, ValueError) as exc:
         raise PreconditionError(f"function is undefined at an eigenvalue: {exc}") from exc
-    if vals.size and not np.all(np.isfinite(vals)):
-        bad = e.eigenvalues[~np.isfinite(vals)]
-        raise PreconditionError(f"function is not finite at eigenvalue(s) {bad}")
-    out = (e.vectors * vals) @ e.vectors.conj().T
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite.all(axis=1))[0])
+        which = f" of matrix {i} of the stack" if stacked else ""
+        raise PreconditionError(
+            f"function is not finite at eigenvalue(s) {w[i][~finite[i]]}{which}"
+        )
+    out = (u * vals[:, None, :]) @ u.conj().swapaxes(-1, -2)
     if vals.size == 0 or np.all(vals.imag == 0.0):
         out = hermitian_part(out)
-    return out
+    return out if stacked else out[0]
 
 
 def solve_shifted(a, z, b) -> np.ndarray:

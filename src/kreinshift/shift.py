@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import ConvergenceError, PreconditionError
 from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, shift_projection
 from .matkit import (
     as_matrix,
@@ -65,6 +65,11 @@ SNAP_RTOL = 1e-6
 # bytes of one stacked (points, dim, block) complex temporary of the batched
 # operator route; grids are evaluated in chunks that stay under it
 PROFILE_CHUNK_BYTES = 1 << 18
+# fewest heights per batched determinant of the determinant route, about
+# one point's ladder, whatever PROFILE_CHUNK_BYTES gives
+DET_CHUNK_MIN = 64
+# bisections of one point's path after which the determinant route gives up
+DET_MAX_REFINEMENTS = 2000
 # quadrature tolerance of the logarithms in the finite-difference identities
 IDENTITY_REL_TOL = 1e-13
 # padding of the spectral hull on the grids, relative to its diameter
@@ -179,7 +184,31 @@ def step_integral(knots: np.ndarray, values: np.ndarray, antiderivative) -> comp
 # ----------------------------------------------------------------------
 # determinant route
 
-def xi_via_det(fam: HerglotzFamily, lam: float) -> float:
+def _det_chunk(fam: HerglotzFamily) -> int:
+    """Heights per batched determinant: as many as keep the stacked
+    (heights, dim, rank) resolvent temporary under PROFILE_CHUNK_BYTES, but
+    never fewer than DET_CHUNK_MIN."""
+    return max(DET_CHUNK_MIN, PROFILE_CHUNK_BYTES // (16 * fam.dim * fam.rank))
+
+
+def _path_dets(fam: HerglotzFamily, lams: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """(-1)^n_minus det(phi(lams + i*heights)), pairwise, in chunks of
+    ``_det_chunk`` heights; raises where one vanishes."""
+    sign = (-1.0) ** fam.n_minus
+    size = _det_chunk(fam)
+    d = np.concatenate([
+        sign * np.linalg.det(fam.evaluate_phi(lams[i : i + size] + 1j * heights[i : i + size]))
+        for i in range(0, heights.size, size)
+    ])
+    if np.any(d == 0):
+        lam = float(lams[np.flatnonzero(d == 0)[0]])
+        raise PreconditionError(
+            f"perturbation determinant vanished on the path at lambda={lam!r}"
+        )
+    return d
+
+
+def xi_via_det(fam: HerglotzFamily, lam):
     """Shift function via the phase of the perturbation determinant.
 
     Sylvester's identity gives det(I + V (H0 - z)^(-1)) = det(J) det(phi(z))
@@ -189,43 +218,66 @@ def xi_via_det(fam: HerglotzFamily, lam: float) -> float:
     logarithm of the determinant is below 1/3 in modulus, so its principal
     phase is the canonical one.  The phase is then tracked down a ladder of
     halving heights to a floor and on to the real axis, and every step whose
-    phase moves by more than pi/2 is bisected.  The ladder and each round of
-    bisections are one batched determinant each.  No eigenvalue of H or H+
-    and no matrix logarithm enters.
+    phase moves by more than pi/2 is bisected.  No eigenvalue of H or H+ and
+    no matrix logarithm enters.
+
+    A scalar lam gives a float; an array of points gives the array of
+    values, of its shape.  Each point keeps its own ladder (down to its own floor), its
+    own bisections and its own phase sum, but the ladders of all points, and
+    then each round of bisections over all points, are one stack of
+    determinants, taken in chunks of ``_det_chunk`` heights.  A point still
+    bisecting after DET_MAX_REFINEMENTS bisections raises ConvergenceError.
     """
-    lam = float(lam)
-    fam.check_off_spectrum(lam)
-    if fam.rank == 0:
-        return 0.0
-    sign = (-1.0) ** fam.n_minus
+    lams = np.asarray(lam, dtype=float).ravel()
+    fam.check_off_spectrum(lams)
+    vals = _det_phases(fam, lams) if fam.rank and lams.size else np.zeros(lams.size)
+    return float(vals[0]) if np.ndim(lam) == 0 else vals.reshape(np.shape(lam))
 
-    def dets(heights: np.ndarray) -> np.ndarray:
-        d = sign * np.linalg.det(fam.evaluate_phi(lam + 1j * heights))
-        if np.any(d == 0):
-            raise PreconditionError(
-                f"perturbation determinant vanished on the path at lambda={lam!r}"
-            )
-        return d
 
+def _det_phases(fam: HerglotzFamily, lams: np.ndarray) -> np.ndarray:
+    """The determinant route at the 1-D array of points lams, over pi; see
+    ``xi_via_det``."""
     top = 4.0 * frobenius(fam.fact.k) ** 2
     eigs0 = fam.eig0.eigenvalues
-    floor = 1e-10 * max(1.0, abs(lam), float(eigs0[-1] - eigs0[0]), top)
-    steps = max(0, math.ceil(math.log2(top / floor)))
-    heights = np.append(top * 0.5 ** np.arange(steps + 1), 0.0)
-    d = dets(heights)
-    refinements = 0
+    spread = float(eigs0[-1] - eigs0[0])
+    steps = np.array([
+        max(0, math.ceil(math.log2(top / (1e-10 * max(1.0, abs(x), spread, top)))))
+        for x in lams.tolist()
+    ])
+    # every point's ladder, top * 2^-k down to its floor and then 0, back
+    # to back in one flat array; owner[j] is the point of heights[j]
+    ladder = top * 0.5 ** np.arange(steps.max() + 1)
+    heights = np.concatenate([np.append(ladder[: k + 1], 0.0) for k in steps.tolist()])
+    owner = np.repeat(np.arange(lams.size), steps + 2)
+    d = _path_dets(fam, lams[owner], heights)
+    refinements = np.zeros(lams.size, dtype=int)
     while True:
         dphi = np.angle(d[1:] / d[:-1])
+        # the step from one point's 0 to the next point's top goes up, so
+        # the height test never selects it
         bad = np.flatnonzero(
             (np.abs(dphi) > 0.5 * math.pi) & (heights[:-1] - heights[1:] > 1e-300)
         )
-        if not bad.size or refinements >= 2000:
+        if not bad.size:
             break
+        per_point = np.bincount(owner[bad], minlength=lams.size)
+        capped = (per_point > 0) & (refinements >= DET_MAX_REFINEMENTS)
+        if capped.any():
+            raise ConvergenceError(
+                f"determinant phase still jumps after {DET_MAX_REFINEMENTS} bisections "
+                f"at lambda={float(lams[capped][0])!r}"
+            )
+        refinements += per_point
         mid = 0.5 * (heights[bad] + heights[bad + 1])
         heights = np.insert(heights, bad + 1, mid)
-        d = np.insert(d, bad + 1, dets(mid))
-        refinements += bad.size
-    return float(np.angle(d[0]) + np.sum(dphi)) / math.pi
+        d = np.insert(d, bad + 1, _path_dets(fam, lams[owner[bad]], mid))
+        owner = np.insert(owner, bad + 1, owner[bad])
+    # one sum per point over its own contiguous slice of steps, as a lone
+    # call makes it; np.add.reduceat adds in another order and moves the
+    # last bit
+    bounds = np.searchsorted(owner, np.arange(lams.size + 1)).tolist()
+    sums = np.array([dphi[a : b - 1].sum() for a, b in zip(bounds[:-1], bounds[1:])])
+    return (np.angle(d[bounds[:-1]]) + sums) / math.pi
 
 
 # ----------------------------------------------------------------------
@@ -596,7 +648,8 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
     anything reads it; ``grid`` holds the evaluated points.  Every operator
     is an exact projection, so its eigenvalues are its rank in ones, then
     zeros.  The counting oracle is one vectorized count per chunk; the
-    determinant route (``include_det``) runs per point.
+    determinant route (``include_det``) is one ``xi_via_det`` call over the
+    whole grid.
     """
     grid = snap_grid(fam, grid)
     nudge = _snapper(
@@ -625,7 +678,5 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
         xi_op_plus_eigs=cols["ep"],
         xi_op_minus_eigs=cols["em"],
         xi_oracle=np.concatenate(cols["oracle"]).astype(float),
-        xi_det=np.asarray(
-            [xi_via_det(fam, lam) for lam in grid] if include_det else [math.nan] * grid.size
-        ),
+        xi_det=xi_via_det(fam, grid) if include_det else np.full(grid.size, math.nan),
     )

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kreinshift import averaging
 from kreinshift.averaging import (
     PerturbationPath,
     TestFunction,
@@ -15,7 +16,7 @@ from kreinshift.averaging import (
 )
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
-from kreinshift.matkit import frobenius, trace
+from kreinshift.matkit import apply_spectral_function, frobenius, hermitian_part, trace
 
 
 def unit_path(v1, s1=0.0, s2=1.0):
@@ -141,6 +142,51 @@ class TestWeakPairing:
     def test_s_nodes_validated(self):
         with pytest.raises(PreconditionError):
             averaged_pairing_lhs(np.zeros((2, 2)), unit_path(np.eye(2)), TestFunction.polynomial([1.0]), s_nodes=4)
+
+
+class TestStackedQuadratures:
+    """The s-nodes of both averaging quadratures are one stacked spectral
+    function; each weighted term is summed in node order, so the result
+    equals the node-by-node sum bit for bit."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        h0 = random_hermitian(rng, 5)
+        path = PerturbationPath(
+            0.4 * random_indefinite(rng, 5, 2), random_indefinite(rng, 5, 4), -0.3, 1.1
+        )
+        k = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        return h0, path, k
+
+    @pytest.mark.parametrize(
+        "f",
+        [TestFunction.polynomial([0.3, -1.0, 0.5]), TestFunction.gaussian(0.2, 0.9),
+         TestFunction.resolvent_im(0.1 + 0.7j)],
+        ids=["poly", "gauss", "imres"],
+    )
+    def test_equal_to_node_by_node_sums(self, f):
+        h0, path, k = self.instance(80)
+        xs, ws = averaging._gauss_legendre(path.s1, path.s2, averaging.S_NODES)
+        acc = 0.0
+        for s, w in zip(xs, ws):
+            fh = apply_spectral_function(h0 + path.v(float(s)), f)
+            acc += w * trace(path.v1 @ fh).real
+        assert averaged_pairing_lhs(h0, path, f) == float(acc)
+
+        kk = hermitian_part(k @ k.conj().T)
+        xs, ws = averaging._gauss_legendre(-0.4, 0.8, averaging.S_NODES)
+        lhs = np.zeros((2, 2), dtype=np.complex128)
+        for s, w in zip(xs, ws):
+            lhs = lhs + w * (k.conj().T @ apply_spectral_function(h0 + float(s) * kk, f) @ k)
+        assert np.array_equal(operator_increment_residual(h0, k, -0.4, 0.8, f).lhs, lhs)
+
+    def test_legendre_rule_computed_once_per_size(self):
+        first = averaging._legendre_rule(32)
+        assert averaging._legendre_rule(32) is first
+        xs, ws = np.polynomial.legendre.leggauss(32)
+        assert np.array_equal(first[0], xs) and np.array_equal(first[1], ws)
+        assert not first[0].flags.writeable and not first[1].flags.writeable
 
 
 class TestDerivativeIdentity:

@@ -165,6 +165,24 @@ class TestXiCommand:
         assert out == ""
         assert "bad grid specification" in err and "Traceback" not in err
 
+    def test_det_refinement_cap_exit_1(self, tmp_path, capsys, monkeypatch):
+        # a point still bisecting at the cap is a math failure naming lambda
+        from kreinshift import shift
+        from kreinshift.generators import random_indefinite
+
+        rng = np.random.default_rng(104)
+        d = np.repeat(rng.uniform(-1.0, 1.0, 6), 5) + 1e-6 * rng.standard_normal(30)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        write_matrix(tmp_path / "h0.json", ((q * d) @ q.T).astype(complex))
+        write_matrix(tmp_path / "v.json", 5.0 * random_indefinite(rng, 30, 12))
+        monkeypatch.setattr(shift, "DET_MAX_REFINEMENTS", 0)
+        code, out, err = run_cli(
+            capsys, "xi", "--h0", str(tmp_path / "h0.json"), "--v", str(tmp_path / "v.json")
+        )
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "bisections at lambda=" in err
+
     def test_det_mismatch_exit_1(self, matrix_files, capsys, monkeypatch):
         from kreinshift import shift
 

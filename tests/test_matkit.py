@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,49 @@ class TestSpectralFunction:
     def test_non_finite_value_rejected(self):
         with pytest.raises(PreconditionError):
             apply_spectral_function(np.diag([1.0, 0.0]), lambda x: 1.0 / x)
+
+    @pytest.mark.parametrize("f", [np.exp, lambda x: 1.0 / (x - 0.3j), lambda x: 2.0])
+    def test_stack_equals_per_matrix_calls(self, f):
+        rng = np.random.default_rng(11)
+        stack = np.stack([random_hermitian(rng, 5) for _ in range(7)])
+        out = apply_spectral_function(stack, f)
+        assert out.shape == stack.shape
+        for a, got in zip(stack, out):
+            assert np.array_equal(got, apply_spectral_function(a, f))
+
+    def test_stack_refuses_non_hermitian_item_by_index(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(PreconditionError, match="matrix 2 of the stack is not Hermitian"):
+            apply_spectral_function(stack, np.exp)
+        with pytest.raises(PreconditionError, match="^matrix is not Hermitian"):
+            apply_spectral_function(stack[2], np.exp)
+
+    def test_stack_non_finite_value_rejected(self):
+        stack = np.stack([np.diag([1.0, 2.0]), np.diag([1.0, 0.0])])
+        with pytest.raises(PreconditionError, match="not finite at eigenvalue"):
+            apply_spectral_function(stack, lambda x: math.inf if x < 0.5 else x)
+        with pytest.raises(PreconditionError, match="undefined at an eigenvalue"):
+            apply_spectral_function(stack, lambda x: 1.0 / x)
+        with pytest.raises(PreconditionError, match="must be finite"):
+            apply_spectral_function(np.stack([np.eye(2), np.diag([1.0, np.inf])]), np.exp)
+        with pytest.raises(PreconditionError, match="square"):
+            apply_spectral_function(np.zeros((2, 2, 3)), np.exp)
+
+
+class TestHermitianPart:
+    def test_matrix_bits_unchanged(self):
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        assert np.array_equal(hermitian_part(a), 0.5 * (a + a.conj().T))
+
+    def test_stack_is_per_matrix(self):
+        rng = np.random.default_rng(14)
+        stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        out = hermitian_part(stack)
+        for a, got in zip(stack, out):
+            assert np.array_equal(got, hermitian_part(a))
 
 
 class TestSolveShifted:

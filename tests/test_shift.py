@@ -6,7 +6,7 @@ import pytest
 
 from kreinshift import shift
 from kreinshift.checks import DEFAULT_SEED, _trace_instances
-from kreinshift.errors import PreconditionError
+from kreinshift.errors import ConvergenceError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
 from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log, shift_projection
 from kreinshift.matkit import HermitianEig, frobenius, hermitian_part, imaginary_part, trace
@@ -31,6 +31,18 @@ from kreinshift.shift import (
 
 def rank_one_family(v: float) -> HerglotzFamily:
     return HerglotzFamily.from_potential(np.zeros((1, 1)), v * np.ones((1, 1)))
+
+
+@pytest.fixture(scope="module")
+def clustered_family():
+    """Six clusters of five eigenvalues of H0, each within about 1e-6, under
+    a rank-12 indefinite V: halving steps of the determinant route can turn
+    the phase by about 2 pi across a cluster."""
+    rng = np.random.default_rng(104)
+    d = np.repeat(rng.uniform(-1.0, 1.0, 6), 5) + 1e-6 * rng.standard_normal(30)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    v = 5.0 * random_indefinite(rng, 30, 12)
+    return HerglotzFamily.from_potential((q * d) @ q.T, v)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +190,64 @@ class TestXiViaDet:
         assert fam.rank == fam.dim
         for lam in safe_grid(fam, 30):
             assert xi_via_det(fam, lam) == pytest.approx(xi_counting_oracle(fam, lam), abs=1e-6)
+
+
+class TestDetRouteStack:
+    """``xi_via_det`` over an array of points: one stack of determinants,
+    each point's value equal bit for bit to its own scalar call."""
+
+    def test_array_equals_scalar_calls_across_bisection_rounds(self, clustered_family):
+        fam = clustered_family
+        grid = safe_grid(fam, 200)
+        assert grid.size == 231
+        stacked = xi_via_det(fam, grid)
+        assert np.array_equal(stacked, [xi_via_det(fam, float(lam)) for lam in grid])
+
+    def test_chunks_equal_scalar_calls(self, random_family, monkeypatch):
+        fam = random_family
+        grid = safe_grid(fam, 40)
+        whole = xi_via_det(fam, grid)
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 1)
+        assert shift._det_chunk(fam) == shift.DET_CHUNK_MIN
+        assert grid.size * 30 > 4 * shift.DET_CHUNK_MIN  # ladders of 30+ heights
+        assert np.array_equal(xi_via_det(fam, grid), whole)
+        assert np.array_equal(whole, [xi_via_det(fam, float(lam)) for lam in grid])
+
+    def test_types(self, random_family):
+        grid = safe_grid(random_family, 10)
+        assert type(xi_via_det(random_family, float(grid[0]))) is float
+        assert type(xi_via_det(random_family, grid[0])) is float
+        vals = xi_via_det(random_family, grid)
+        assert isinstance(vals, np.ndarray) and vals.shape == grid.shape
+        assert vals.dtype == np.float64
+        assert xi_via_det(random_family, grid[:0]).shape == (0,)
+        assert np.array_equal(xi_via_det(random_family, grid[:6].reshape(2, 3)), vals[:6].reshape(2, 3))
+
+    def test_rank_zero_family_gives_zeros(self):
+        fam = HerglotzFamily.from_potential(np.diag([0.0, 1.0]), np.zeros((2, 2)))
+        assert type(xi_via_det(fam, 0.5)) is float and xi_via_det(fam, 0.5) == 0.0
+        vals = xi_via_det(fam, np.array([-1.0, 0.5, 2.0]))
+        assert isinstance(vals, np.ndarray) and np.array_equal(vals, np.zeros(3))
+
+    def test_refinement_cap_raises(self, clustered_family, monkeypatch):
+        monkeypatch.setattr(shift, "DET_MAX_REFINEMENTS", 0)
+        with pytest.raises(ConvergenceError, match=r"after 0 bisections at lambda="):
+            xi_via_det(clustered_family, safe_grid(clustered_family, 200))
+
+    def test_point_inside_exclusion_zone_refused(self, random_family):
+        eig = float(random_family.eig0.eigenvalues[0])
+        with pytest.raises(PreconditionError, match="exclusion zone"):
+            xi_via_det(random_family, np.array([eig - 1.0, eig]))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="halving steps across a cluster of eigenvalues can turn the phase by "
+        "about 2 pi, which the |dphi| > pi/2 bisection test reads as about 0",
+    )
+    def test_clustered_spectrum_matches_oracle(self, clustered_family):
+        fam = clustered_family
+        grid = safe_grid(fam, 200)
+        assert np.max(np.abs(xi_via_det(fam, grid) - xi_counting_oracle(fam, grid))) <= 1e-6
 
 
 class TestTraceFormula:
