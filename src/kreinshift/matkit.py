@@ -141,8 +141,9 @@ def apply_spectral_function(a, f) -> np.ndarray:
     results from one batched ``eigh``, each equal to the result for its
     matrix alone.  Each matrix must be Hermitian within ``1e-12 * ||A||_F``
     (a refusal names the index of the first that is not).  ``f`` is a scalar
-    function evaluated at each eigenvalue; it must be finite there.  The
-    output is re-symmetrized when ``f`` is real valued.
+    function evaluated at each eigenvalue; it must be finite there.  A
+    decomposition whose eigenvalues overflow is refused before ``f`` is
+    evaluated.  The output is re-symmetrized when ``f`` is real valued.
     """
     m = np.asarray(a, dtype=np.complex128)
     stacked = m.ndim == 3
@@ -164,6 +165,16 @@ def apply_spectral_function(a, f) -> np.ndarray:
             f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
         )
     w, u = np.linalg.eigh(hermitian_part(m))
+    # finite entries can overflow on the way to the eigenvalues; f is not
+    # at fault then
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        which = f" of matrix {i} of the stack" if stacked else ""
+        raise PreconditionError(
+            f"the Hermitian eigendecomposition{which} has non-finite eigenvalues "
+            f"{w[i][~np.isfinite(w[i])]}"
+        )
     try:
         vals = np.asarray(
             [complex(f(float(x))) for x in w.ravel()], dtype=np.complex128

@@ -5,20 +5,27 @@ half-line resolvent representation
 
     log(T) = -i * int_0^inf [ (T + i mu)^(-1) - (1 + i mu)^(-1) I ] d mu,
 
-evaluated as one adaptive Gauss-Kronrod integral.  The integrand decays like
-mu^(-2); the tail beyond the switch point L = max(1, 4||T||) is folded by
-u = 1/mu onto a finite interval, where it is O(1) and smooth, and placed
-after the head: on [0, L] the variable is mu itself, on (L, L + 1/L] it is
-u = x - L.  Both parts are one batched solve of a(x) T + b(x) I per round
-of the quadrature.  The variable is scaled by a power of two that brings L
-within a factor sqrt(2) of 1, so the folded panel keeps its digits however
-large ||T|| is.  The initial mesh is [0, delta] with delta = smin(T)/2
-(below it the resolvent norm is set by ||T^(-1)||), dyadic panels
-delta * 2^k up to L, and the folded tail: about log2(8 cond(T)) panels, on
-which most logarithms converge in one round.  Each further round bisects
-panels at their midpoints, within a budget of MAX_PANELS = 1024 panels.
-The relative tolerance, DEFAULT_REL_TOL = 1e-11 unless the caller passes
-``rel_tol``, is the one setting of the quadrature.
+evaluated as one adaptive Gauss-Kronrod integral in a variable x that
+runs over three parts.  The integrand decays like mu^(-2); the tail beyond
+the switch point L = max(1, 4||T||) is folded by u = 1/mu onto a finite
+interval, where it is O(1) and smooth.  Below L the integrand has poles at
+mu = i*lambda for the eigenvalues lambda of T and at mu = i from the
+reference term, all at |mu| >= 2*delta with delta = min(smin(T), 1)/2: on
+the head [0, delta] the variable is mu itself; on the middle part
+[delta, L] it is logarithmic, mu = delta * e^(x - delta) with Jacobian mu,
+so that every pole lies at least pi/2 from the real x-axis whatever its
+modulus (Trefethen & Weideman, SIAM Review 56, 2014); on the tail it is
+u = x - x_L past the end x_L = delta + ln(L/delta) of the middle part.  All
+parts are one batched solve of a(x) T + b(x) I per round of the
+quadrature.  The variable is scaled by a power of two that brings L within
+a factor sqrt(2) of 1, so the folded panel keeps its digits however large
+||T|| is.  The initial mesh is the head, panels of width ln 2 on the middle
+part (dyadic points delta * 2^k in mu) and the folded tail: about
+log2(L/delta) + 2 panels (log2(8 cond(T)) + 2 when smin(T) <= 1 <= 4||T||),
+on which nearly every logarithm converges in one round.  Each further round bisects panels at their midpoints, within a
+budget of MAX_PANELS = 1024 panels.  The relative tolerance,
+DEFAULT_REL_TOL = 1e-11 unless the caller passes ``rel_tol``, is the one
+setting of the quadrature.
 
 Both logarithms also take a stack of matrices (m, n, n) and return the
 stack of their logarithms from one integral: one batched SVD and one
@@ -182,34 +189,37 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
     ``svals`` (descending per item)."""
     count, n = stack.shape[:2]
     lam_max = max(1.0, 4.0 * float(svals[:, 0].max()))
-    # mu = scale * x on the head; the power of two is exact and puts the fold
-    # within a factor sqrt(2) of 1, so the tail panel keeps its digits
+    # mu = scale * y; the power of two is exact and puts the fold within a
+    # factor sqrt(2) of 1, so the tail panel keeps its digits
     scale = math.ldexp(1.0, round(math.log2(lam_max)))
     fold = lam_max / scale
-    delta = 0.5 * float(svals[:, -1].min()) / scale
+    # every pole, mu = i*lambda for an eigenvalue of T or mu = i of the
+    # reference term, has |mu| >= min(smin(T), 1): twice the head's length
+    delta = 0.5 * min(float(svals[:, -1].min()), 1.0) / scale
+    x_fold = delta + math.log(fold / delta)
     residue = np.eye(n, dtype=np.complex128) - stack  # the difference of resolvents
     # equals (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free for T ~ I
 
     def integrand(xs):
-        # head x <= fold: mu = scale * x; tail: mu = scale / (x - fold)
-        head = xs <= fold
-        a = np.where(head, 1.0, xs - fold)
-        b = 1j * scale * np.where(head, xs, 1.0)
+        # head x <= delta: y = x; middle: y = delta * e^(x - delta), Jacobian
+        # y; tail x > x_fold: mu = scale / (x - x_fold)
+        head, tail = xs <= delta, xs > x_fold
+        y = np.where(head, xs, delta * np.exp(xs - delta))
+        a = np.where(tail, xs - x_fold, 1.0)
+        b = 1j * scale * np.where(tail, 1.0, y)
         shifted = np.multiply(
             a[:, None, None, None], stack, out=np.empty((xs.size, count, n, n), complex)
         )
         shifted.reshape(xs.size, count, -1)[:, :, :: n + 1] += b[:, None, None]
         out = np.linalg.solve(shifted, np.broadcast_to(residue, shifted.shape))
-        out *= (scale / (a + b))[:, None, None, None]
+        out *= (scale * np.where(head | tail, 1.0, y) / (a + b))[:, None, None, None]
         return out
 
-    # [0, delta], dyadic panels up to the fold (the resolvent norm is set by
-    # ||T^(-1)|| below delta = smin(T)/2), then the folded tail
-    edges = [0.0]
-    if delta < fold:
-        steps = np.ldexp(delta, np.arange(math.ceil(math.log2(fold / delta)) + 1))
-        edges += steps[steps < fold].tolist()
-    edges += [fold, fold + 1.0 / fold]
+    # [0, delta], panels of width ln 2 in x (dyadic in mu) up to the fold,
+    # then the folded tail; in x every pole of the middle part lies at least
+    # pi/2 from the real axis
+    steps = delta + math.log(2.0) * np.arange(math.ceil(math.log2(fold / delta)))
+    edges = [0.0, *steps[steps < x_fold].tolist(), x_fold, x_fold + 1.0 / fold]
     val, _ = integrate_adaptive(
         integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS, stacked=True
     )

@@ -111,6 +111,21 @@ class TestSpectralFunction:
         with pytest.raises(PreconditionError, match="square"):
             apply_spectral_function(np.zeros((2, 2, 3)), np.exp)
 
+    def test_overflowing_eigendecomposition_is_not_blamed_on_f(self):
+        # finite entries near the top of the double range overflow on the
+        # way through eigh; f is never evaluated
+        calls = []
+        big = 1e308 * np.array([[1.0, 0.4], [0.4, 1.0]])
+        cases = [
+            (big, "eigendecomposition has"),
+            (np.stack([np.eye(2), big]), "eigendecomposition of matrix 1 of the stack has"),
+        ]
+        with np.errstate(all="ignore"):
+            for a, where in cases:
+                with pytest.raises(PreconditionError, match=f"{where} non-finite eigenvalues"):
+                    apply_spectral_function(a, lambda x: calls.append(x) or x)
+        assert calls == []
+
 
 class TestHermitianPart:
     def test_matrix_bits_unchanged(self):

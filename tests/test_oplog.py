@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kreinshift import quadrature
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_dissipative, random_hermitian
 from kreinshift.matkit import expm, frobenius, imaginary_part, trace
@@ -124,6 +125,29 @@ class TestLogmDissipative:
         for scale in (1e-6, 1e3, 1e9):
             shifted = base + np.log(scale) * np.eye(4)
             assert frobenius(logm_dissipative(scale * t) - shifted) <= 1e-12 * frobenius(shifted)
+
+    def test_one_round_of_quadrature(self, monkeypatch):
+        # in the logarithmic variable every pole of the middle part lies at
+        # least pi/2 from its panel, so the initial mesh already meets the
+        # tolerance: one integrand call per logarithm, also for ||T|| >> 1
+        rng = np.random.default_rng(0)
+        cases = []
+        for n in range(2, 11):
+            for _ in range(3):
+                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                b = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                cases.append(0.5 * (a + a.conj().T) + 1j * (b @ b.conj().T) / n)
+        cases.append(100j * np.eye(3))
+        calls = []
+        panels = quadrature._panels
+        monkeypatch.setattr(
+            quadrature, "_panels", lambda *args: calls.append(1) or panels(*args)
+        )
+        for t in cases:
+            calls.clear()
+            logm = logm_dissipative(t)
+            assert len(calls) == 1
+            assert frobenius(logm - logm_oracle_diag(t)) <= 1e-12
 
     def test_rejects_non_dissipative(self):
         with pytest.raises(PreconditionError, match="not dissipative"):

@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
 from kreinshift.errors import ConvergenceError
-from kreinshift.quadrature import PanelInfo, integrate_adaptive, integrate_piecewise
+from kreinshift.quadrature import (
+    _GAUSS_W,
+    _KRONROD_W,
+    _NODES,
+    PanelInfo,
+    integrate_adaptive,
+    integrate_piecewise,
+)
 
 
 def _matrix_integrand(xs):
@@ -22,6 +31,22 @@ def _matrix_antiderivative(x):
 SEGMENTS = [(-1.0, 0.5), (0.5, 2.0), (3.0, 4.5), (5.0, 5.25)]
 
 
+class TestRule:
+    """The 15-point Kronrod rule and its embedded 7-point Gauss rule."""
+
+    @pytest.mark.parametrize("weights", [_KRONROD_W, _GAUSS_W], ids=["kronrod", "gauss"])
+    def test_weights_sum_to_the_length_of_the_interval(self, weights):
+        assert abs(math.fsum(weights) - 2.0) <= 4 * np.spacing(2.0)
+
+    @pytest.mark.parametrize(
+        "weights, degree", [(_KRONROD_W, 22), (_GAUSS_W, 13)], ids=["kronrod", "gauss"]
+    )
+    def test_monomials_exact_up_to_the_degree_of_the_rule(self, weights, degree):
+        for d in range(degree + 1):
+            exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(math.fsum(weights * _NODES**d) - exact) <= 4 * np.spacing(2.0), d
+
+
 class TestIntegrateAdaptive:
     @pytest.mark.parametrize("degree", range(14))
     def test_polynomials_exact_on_one_panel(self, degree):
@@ -34,7 +59,7 @@ class TestIntegrateAdaptive:
         anti = np.polyint(coeffs)
         exact = np.polyval(anti, b) - np.polyval(anti, a)
         assert info.panels == 1
-        assert abs(val - exact) <= 1e-13 * max(1.0, abs(exact))
+        assert abs(val - exact) <= 16 * np.finfo(float).eps * max(1.0, abs(exact))
 
     def test_matrix_valued_over_several_segments(self):
         val, info = integrate_adaptive(_matrix_integrand, SEGMENTS, rel_tol=1e-12, max_panels=256)
