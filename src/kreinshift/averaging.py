@@ -34,6 +34,7 @@ from .errors import PreconditionError
 from .herglotz import HerglotzFamily, shift_projection
 from .matkit import (
     SignedFactorization,
+    _sorted_unique,
     apply_spectral_function,
     as_matrix,
     frobenius,
@@ -306,7 +307,7 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
         lhs = lhs + w * sandwich
 
     terms = _endpoint_terms(h0, k, s1, s2)
-    breakpoints = np.unique(
+    breakpoints = _sorted_unique(
         np.concatenate([terms[0][0].eig0.eigenvalues] + [t[0].eig_h.eigenvalues for t in terms])
     )
 

@@ -18,6 +18,12 @@ an output file that cannot be opened.  Each command takes only the flags it read
 opened (or refused) before any work is done.  Every grid is evaluated in
 one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is
 ignored.
+
+Each command imports only the layers it runs (``xi`` the family and the
+profiles, ``logm`` the logarithm, ``check`` the suites, ``average`` and
+``op-average`` the averaging identities); the module itself imports only
+what every command shares, so no process pays to import the layers of
+the other commands.
 """
 
 from __future__ import annotations
@@ -26,24 +32,17 @@ import argparse
 import contextlib
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .averaging import (
-    PerturbationPath,
-    TestFunction,
-    averaged_pairing_lhs,
-    averaged_pairing_rhs,
-    operator_average_residual,
-    operator_increment_residual,
-)
-from .checks import DEFAULT_SEED, SUITE_NAMES, run_suites
 from .errors import KreinShiftError, ParseError, PreconditionError
-from .herglotz import HerglotzFamily
 from .io import format_float, read_matrix, write_csv
 from .matkit import check_tolerance, expm, frobenius, hermitian_part, is_hermitian
-from .oplog import Branch, logm_antidissipative, logm_dissipative, logm_oracle_diag
-from .shift import auto_grid, compute_profile
+
+if TYPE_CHECKING:
+    from .averaging import TestFunction
+    from .herglotz import HerglotzFamily
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -60,6 +59,8 @@ def _check_flag(name: str, value: float) -> None:
 
 def _parse_grid(spec: str, fam: HerglotzFamily) -> np.ndarray:
     if spec.lower() == "auto":
+        from .shift import auto_grid
+
         return auto_grid(fam)
     parts = spec.split(":")
     if len(parts) != 3:
@@ -89,6 +90,8 @@ def _parse_srange(spec: str) -> tuple[float, float]:
 
 
 def _parse_f(spec: str) -> TestFunction:
+    from .averaging import TestFunction
+
     kind, _, payload = spec.partition(":")
     try:
         if kind == "poly":
@@ -140,6 +143,9 @@ def _output(args):
 
 
 def _cmd_xi(args, stream) -> int:
+    from .herglotz import HerglotzFamily
+    from .shift import compute_profile
+
     _check_flag("rank_tol", args.rank_tol)
     h0 = _load_hermitian(args.h0, "base")
     v = _load_hermitian(args.v, "perturbation")
@@ -183,6 +189,8 @@ def _cmd_xi(args, stream) -> int:
 
 
 def _cmd_logm(args, stream) -> int:
+    from .oplog import Branch, logm_antidissipative, logm_dissipative, logm_oracle_diag
+
     _check_flag("rel_tol", args.rel_tol)
     t, _ = read_matrix(args.t)
     branch = Branch.LN if args.branch == "ln" else Branch.LOG
@@ -206,8 +214,11 @@ def _cmd_logm(args, stream) -> int:
 
 
 def _cmd_check(args, stream) -> int:
-    names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(names, seed=args.seed)
+    from . import checks
+
+    names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
+    seed = checks.DEFAULT_SEED if args.seed is None else args.seed
+    reports = checks.run_suites(names, seed=seed)
     overall = all(r.ok for r in reports)
     for rep in reports:
         stream.write(rep.render() + "\n")
@@ -216,6 +227,8 @@ def _cmd_check(args, stream) -> int:
 
 
 def _cmd_average(args, stream) -> int:
+    from .averaging import PerturbationPath, averaged_pairing_lhs, averaged_pairing_rhs
+
     h0 = _load_hermitian(args.h0, "base")
     v1 = _load_hermitian(args.v, "path direction")
     if h0.shape != v1.shape:
@@ -232,6 +245,8 @@ def _cmd_average(args, stream) -> int:
 
 
 def _cmd_op_average(args, stream) -> int:
+    from .averaging import operator_average_residual, operator_increment_residual
+
     h0 = _load_hermitian(args.h0, "base")
     k, _ = read_matrix(args.k)
     if k.shape[0] != h0.shape[0]:
@@ -249,6 +264,20 @@ def _cmd_op_average(args, stream) -> int:
 
 
 # ----------------------------------------------------------------------
+
+
+def _suite_name(name: str) -> str:
+    """The suite argument of ``check``: a suite name or ``all``.  A type,
+    not ``choices``, so that the suites are imported only when ``check`` is
+    parsed."""
+    from .checks import SUITE_NAMES
+
+    choices = SUITE_NAMES + ("all",)
+    if name not in choices:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(map(repr, choices))})"
+        )
+    return name
 
 
 def _add_out(p) -> None:
@@ -291,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_logm)
 
     p = sub.add_parser("check", help="run seeded verification suites")
-    p.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("suite", type=_suite_name, help="a suite name, or all")
+    p.add_argument("--seed", type=int, default=None)
     _add_out(p)
     p.set_defaults(func=_cmd_check)
 

@@ -84,10 +84,31 @@ def trace_norm(a) -> float:
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """``np.unique`` of a 1-D float array: sorted, each value kept once.
+
+    It sorts and keeps each value that differs from its predecessor, the
+    mask ``np.unique`` itself builds, so for finite input the two agree bit
+    for bit (a run of +0.0 and -0.0 keeps whichever sorts first).
+    ``np.unique`` first asks ``np.ma.is_masked``, which imports numpy.ma in
+    every process that calls it.
+    """
+    s = np.sort(np.asarray(x).ravel())
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
+
+
 def hermitian_part(a) -> np.ndarray:
-    """(A + A*)/2, or one per matrix of a stack."""
-    m = np.asarray(a, dtype=np.complex128)
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+    """(A + A*)/2, or one per matrix of a stack.
+
+    Formed as A/2 + A*/2: halving is exact, so this is (A + A*)/2 to the
+    bit outside the subnormal range, and it does not overflow where the
+    entries of A are finite.
+    """
+    half = 0.5 * np.asarray(a, dtype=np.complex128)
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def imaginary_part(a) -> np.ndarray:
@@ -96,9 +117,30 @@ def imaginary_part(a) -> np.ndarray:
     return (m - m.conj().swapaxes(-1, -2)) / 2j
 
 
+def _asymmetry(m: np.ndarray, rtol: float) -> tuple:
+    """For a finite matrix, or per matrix of a stack (k, n, n): whether
+    ||A - A*||_F exceeds rtol * ||A||_F, and those two sides.
+
+    Both norms are taken of A scaled by the power of two at its largest
+    entry.  Unscaled they overflow once entries pass about 1e154, and
+    inf <= inf would pass any matrix.  The scaling is exact, so wherever
+    the unscaled norms are finite and normal the verdict is theirs.  The
+    two sides are returned unscaled, for messages.
+    """
+    axis = None if m.ndim == 2 else (-2, -1)
+    # the modulus of a finite entry can pass the double range (its
+    # exponent is then 1024); a subnormal one would need a factor past it
+    top = np.fmin(np.abs(m).max(axis=axis, initial=0.0), np.finfo(float).max)
+    scale = np.ldexp(1.0, np.fmin(-np.frexp(top)[1], 1023))
+    s = m * scale[..., None, None]
+    dev = np.linalg.norm(s - s.conj().swapaxes(-1, -2), axis=axis)
+    limit = rtol * np.linalg.norm(s, axis=axis)
+    with np.errstate(over="ignore"):  # a side past the double range reads inf
+        return dev > limit, dev / scale, limit / scale
+
+
 def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
-    m = as_matrix(a)
-    return frobenius(m - m.conj().T) <= rtol * max(frobenius(m), np.finfo(float).tiny)
+    return not _asymmetry(as_matrix(a), rtol)[0]
 
 
 @dataclass(frozen=True)
@@ -124,11 +166,11 @@ def eig_hermitian(a) -> HermitianEig:
     before factorization so that roundoff-level asymmetry is harmless.
     """
     m = as_matrix(a)
-    dev = frobenius(m - m.conj().T)
-    if dev > HERMITIAN_RTOL * max(frobenius(m), np.finfo(float).tiny):
+    bad, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
+    if bad:
         raise PreconditionError(
             f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds "
-            f"{HERMITIAN_RTOL:g} * ||A||_F = {HERMITIAN_RTOL * frobenius(m):.3e}"
+            f"{HERMITIAN_RTOL:g} * ||A||_F = {limit:.3e}"
         )
     w, u = np.linalg.eigh(hermitian_part(m))
     return HermitianEig(w, u)
@@ -154,9 +196,8 @@ def apply_spectral_function(a, f) -> np.ndarray:
             raise PreconditionError("matrix entries must be finite")
     else:
         m = as_matrix(m)[None]
-    dev = np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1))
-    limit = HERMITIAN_RTOL * np.linalg.norm(m, axis=(-2, -1))
-    bad = np.flatnonzero(dev > np.maximum(limit, HERMITIAN_RTOL * np.finfo(float).tiny))
+    asym, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
+    bad = np.flatnonzero(asym)
     if bad.size:
         i = int(bad[0])
         which = f"matrix {i} of the stack" if stacked else "matrix"

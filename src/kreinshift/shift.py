@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, shift_projection
 from .matkit import (
+    _sorted_unique,
     as_matrix,
     eig_hermitian,
     frobenius,
@@ -500,7 +501,7 @@ def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
     target = logm_dissipative(fam.evaluate_phi_plus(z))
     if fam.n_plus == 0:
         return 0.0
-    breakpoints = np.unique(
+    breakpoints = _sorted_unique(
         np.concatenate([fam.eig0.eigenvalues, fam.eig_plus.eigenvalues])
     )
     if breakpoints.size < 2:
@@ -579,7 +580,7 @@ def auto_grid(fam: HerglotzFamily) -> np.ndarray:
     eigs = _distinct_spectra(fam)
     pad = GRID_MARGIN * max(fam.spectral_diameter(), 1.0)
     pts = np.concatenate([[eigs[0] - pad, eigs[-1] + pad], eigs, eigs[:-1] + np.diff(eigs) / 2])
-    return np.unique(snap_grid(fam, np.sort(pts)))
+    return _sorted_unique(snap_grid(fam, np.sort(pts)))
 
 
 def safe_grid(fam: HerglotzFamily, n_min: int = 50) -> np.ndarray:
@@ -597,7 +598,7 @@ def safe_grid(fam: HerglotzFamily, n_min: int = 50) -> np.ndarray:
                 if min(x - a, b - x) > 10 * excl:
                     pts.append(x)
         if len(pts) >= n_min:
-            return np.unique(np.asarray(pts))
+            return _sorted_unique(pts)
     raise PreconditionError(
         f"could not place {n_min} safe grid points; spectra may be too clustered"
     )

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kreinshift import cli
+from kreinshift import checks, cli
 from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
 from kreinshift.cli import main
 from kreinshift.io import format_float, read_matrix, write_matrix
@@ -30,6 +30,8 @@ def matrix_files(tmp_path):
     put("v39_1", np.array([[1.0, 0.4], [0.4, 1.0]]))
     put("h0_2", np.zeros((2, 2)))
     put("nonherm2", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # its norms overflow, where inf <= inf would pass an unscaled check
+    put("nonherm_huge", 1e200 * np.array([[1.0, 1.0], [0.0, 2.0]]))
     put("k_lower2", np.array([[1.0, 0.0], [0.5, 1.0]]))
     return paths
 
@@ -213,6 +215,12 @@ class TestXiCommand:
         )
         assert code == 2
         assert out == "" and "not Hermitian" in err
+
+    def test_huge_non_hermitian_exit_2(self, matrix_files, capsys):
+        h0 = matrix_files["nonherm_huge"]
+        code, out, err = run_cli(capsys, "xi", "--h0", h0, "--v", matrix_files["v39_1"])
+        assert code == 2
+        assert out == "" and err == f"error: base matrix in {h0} is not Hermitian\n"
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -523,7 +531,7 @@ class TestCheckCommand:
         def never(*args, **kwargs):
             raise AssertionError("run_suites called before the --out file was opened")
 
-        monkeypatch.setattr(cli, "run_suites", never)
+        monkeypatch.setattr(checks, "run_suites", never)
         dest = tmp_path / "missing-dir" / "x.txt"
         code, out, err = run_cli(capsys, "check", "all", "--out", str(dest))
         assert code == 2

@@ -6,6 +6,8 @@ import pytest
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_unitary
 from kreinshift.matkit import (
+    HERMITIAN_RTOL,
+    _sorted_unique,
     apply_spectral_function,
     as_matrix,
     det,
@@ -13,6 +15,7 @@ from kreinshift.matkit import (
     expm,
     frobenius,
     hermitian_part,
+    is_hermitian,
     positive_negative_parts,
     sign_factorization,
     solve_shifted,
@@ -112,10 +115,10 @@ class TestSpectralFunction:
             apply_spectral_function(np.zeros((2, 2, 3)), np.exp)
 
     def test_overflowing_eigendecomposition_is_not_blamed_on_f(self):
-        # finite entries near the top of the double range overflow on the
-        # way through eigh; f is never evaluated
+        # finite entries whose largest eigenvalue (1.9e308) is past the
+        # double range; f is never evaluated
         calls = []
-        big = 1e308 * np.array([[1.0, 0.4], [0.4, 1.0]])
+        big = 1e308 * np.array([[1.0, 0.9], [0.9, 1.0]])
         cases = [
             (big, "eigendecomposition has"),
             (np.stack([np.eye(2), big]), "eigendecomposition of matrix 1 of the stack has"),
@@ -126,12 +129,58 @@ class TestSpectralFunction:
                     apply_spectral_function(a, lambda x: calls.append(x) or x)
         assert calls == []
 
+    def test_finite_decomposition_of_huge_entries(self):
+        # eigenvalues 1.4e308 and 6e307: finite, so f is evaluated
+        a = np.array([[1.0, 0.4], [0.4, 1.0]])
+        out = apply_spectral_function(1e308 * a, lambda x: 1.0)
+        assert np.array_equal(out, apply_spectral_function(a, lambda x: 1.0))
+        assert np.allclose(out, np.eye(2), rtol=0.0, atol=1e-15)
+
+
+class TestHermitianCheck:
+    def test_verdict_is_the_unscaled_one_in_range(self):
+        # asymmetries on both sides of the bound, at scales where the
+        # unscaled norms are finite
+        rng = np.random.default_rng(15)
+        for k in range(200):
+            n = 1 + k % 6
+            h = random_hermitian(rng, n) * 10.0 ** rng.uniform(-100, 100)
+            e = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = h + e * frobenius(h) * 10.0 ** rng.uniform(-14, -10)
+            for rtol in (HERMITIAN_RTOL, 1e-10):
+                plain = frobenius(a - a.conj().T) <= rtol * frobenius(a)
+                assert is_hermitian(a, rtol) == plain
+
+    def test_huge_non_hermitian_refused(self):
+        # past about 1e154 the unscaled norms overflow and inf <= inf passed;
+        # the last has entries whose modulus is past the double range
+        for scale in (1.0, 1e200, 1e308, 1.5e308 * (1 + 1j)):
+            a = scale * np.array([[1.0, 1.0], [0.0, 0.5]])
+            assert not is_hermitian(a)
+            with pytest.raises(PreconditionError, match="^matrix is not Hermitian"):
+                eig_hermitian(a)
+            with pytest.raises(PreconditionError, match="matrix 1 of the stack is not Hermitian"):
+                apply_spectral_function(np.stack([np.eye(2), a]), np.exp)
+        assert is_hermitian(1e308 * np.array([[1.0, 0.4], [0.4, 1.0]]))
+        assert is_hermitian(np.zeros((2, 2))) and is_hermitian(np.zeros((0, 0)))
+
+    def test_message_prints_unscaled_norms(self):
+        with pytest.raises(PreconditionError, match=r"asymmetry 1\.414e\+200 exceeds"):
+            eig_hermitian(1e200 * np.array([[1.0, 1.0], [0.0, 1.0]]))
+
 
 class TestHermitianPart:
     def test_matrix_bits_unchanged(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         assert np.array_equal(hermitian_part(a), 0.5 * (a + a.conj().T))
+        stack = rng.standard_normal((50, 30, 30)) + 1j * rng.standard_normal((50, 30, 30))
+        assert np.array_equal(hermitian_part(stack), 0.5 * (stack + stack.conj().swapaxes(1, 2)))
+
+    def test_huge_entries_do_not_overflow(self):
+        a = 1e308 * np.array([[1.0, 0.4], [0.4, 1.0]])
+        with np.errstate(over="raise"):
+            assert np.array_equal(hermitian_part(a), a)
 
     def test_stack_is_per_matrix(self):
         rng = np.random.default_rng(14)
@@ -139,6 +188,28 @@ class TestHermitianPart:
         out = hermitian_part(stack)
         for a, got in zip(stack, out):
             assert np.array_equal(got, hermitian_part(a))
+
+
+class TestSortedUnique:
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+    def test_equals_np_unique_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        cases = [
+            np.array([]),
+            np.array([2.5]),
+            np.array([0.0, -0.0]),
+            np.array([-0.0, 0.0]),
+            np.array([1.0, -0.0, 2.0, 0.0, 1.0, -0.0]),
+            np.array([3.0, 0.0, -0.0, 0.0, -0.0, 3.0, -3.0]),
+            rng.integers(-5, 6, 200).astype(float),
+            np.repeat(rng.standard_normal(40), 3),
+        ]
+        for x in cases:
+            assert np.array_equal(self.bits(_sorted_unique(x)), self.bits(np.unique(x)))
+        assert np.array_equal(_sorted_unique([3.0, 1.0, 3.0]), [1.0, 3.0])
 
 
 class TestSolveShifted:

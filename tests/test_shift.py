@@ -9,7 +9,14 @@ from kreinshift.checks import DEFAULT_SEED, _trace_instances
 from kreinshift.errors import ConvergenceError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite, random_psd
 from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log, shift_projection
-from kreinshift.matkit import HermitianEig, frobenius, hermitian_part, imaginary_part, trace
+from kreinshift.matkit import (
+    HermitianEig,
+    _sorted_unique,
+    frobenius,
+    hermitian_part,
+    imaginary_part,
+    trace,
+)
 from kreinshift.shift import (
     auto_grid,
     chain_and_monotonicity,
@@ -400,6 +407,30 @@ class TestGrids:
     def test_auto_grid_safe(self, random_family):
         for lam in auto_grid(random_family):
             random_family.check_off_spectrum(float(lam))
+
+    def test_distinct_points_as_np_unique(self, clustered_family, random_family, monkeypatch):
+        # the grids keep their points through shift._sorted_unique; on the
+        # inputs it gets from seeded families it must equal np.unique bit
+        # for bit
+        seen = []
+
+        def spy(x):
+            out = _sorted_unique(x)
+            seen.append((np.asarray(x).copy(), out))
+            return out
+
+        monkeypatch.setattr(shift, "_sorted_unique", spy)
+        rng = np.random.default_rng(56)
+        fams = [rank_one_family(1.0), clustered_family, random_family]
+        for n, r in ((4, 2), (6, 4), (8, 7), (12, 3)):
+            h0, v = random_hermitian(rng, n), random_indefinite(rng, n, r)
+            fams.append(HerglotzFamily.from_potential(h0, v))
+        for fam in fams:
+            auto_grid(fam)
+            safe_grid(fam, 40)
+        assert len(seen) == 2 * len(fams)
+        for x, out in seen:
+            assert np.array_equal(out.view(np.uint64), np.unique(x).view(np.uint64))
 
 
 class TestProfile:
