@@ -21,7 +21,6 @@ _SUBMODULES = {
         "det",
         "eig_hermitian",
         "expm",
-        "positive_negative_parts",
         "sign_factorization",
         "solve_shifted",
     ),

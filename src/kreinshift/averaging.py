@@ -169,18 +169,15 @@ def _gauss_legendre(a: float, b: float, n: int):
     return 0.5 * (a + b) + half * xs, half * ws
 
 
-def averaged_pairing_lhs(
-    h0, path: PerturbationPath, f: TestFunction, s_nodes: int = S_NODES
-) -> float:
-    """s-quadrature of tr(V1 * f(H(s))) over the path interval.
+def averaged_pairing_lhs(h0, path: PerturbationPath, f: TestFunction) -> float:
+    """s-quadrature of tr(V1 * f(H(s))) over the path interval on S_NODES
+    Gauss-Legendre nodes.
 
-    Exact (to roundoff) for polynomial f up to degree 2*s_nodes - 1, since
+    Exact (to roundoff) for polynomial f up to degree 2*S_NODES - 1, since
     the integrand is then itself a polynomial in s.
     """
-    if s_nodes < 8:
-        raise PreconditionError("s_nodes must be at least 8")
     h0 = as_matrix(h0)
-    xs, ws = _gauss_legendre(path.s1, path.s2, s_nodes)
+    xs, ws = _gauss_legendre(path.s1, path.s2, S_NODES)
     fhs = apply_spectral_function(np.stack([h0 + path.v(float(s)) for s in xs]), f)
     acc = 0.0
     for w, prod in zip(ws, path.v1 @ fhs):

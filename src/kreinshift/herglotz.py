@@ -18,15 +18,19 @@ one batched eigendecomposition, and it alone serves the shift operators and
 profiles.  ``boundary_log`` gives the logarithm itself, either directly at
 eps = 0 or by the definition: a vertical epsilon schedule lambda + i*eps
 with Richardson extrapolation, which the verification suites compare with
-the direct value.  The schedule is fixed: the heights 1e-2 * 2^(-k),
-k = 0, ..., 19 (EPS0, EPS_FACTOR, EPS_STEPS), stopping once two successive
+the direct value.  The schedule is the heights eps0 * 2^(-k),
+k = 0, ..., 19 (EPS_FACTOR, EPS_STEPS), stopping once two successive
 Richardson extrapolants differ by at most EPS_CONV_TOL = 1e-9 in Frobenius
 norm (the raw error is linear in eps, the extrapolated one quadratic, so
-the schedule meets that tolerance within its steps).  The logarithms of the
-schedule are taken as stacks, one integral for the whole schedule when the
-block is small (see ``oplog.STACK_ENTRIES``), and scanned in order; a stack
-that raises is taken again one height at a time, so the route raises only
-at a height that the scan reaches.
+the schedule meets that tolerance within its steps).  It starts at
+eps0 = min(EPS0, d) with EPS0 = 1e-2 and d the distance from lambda to the
+nearest eigenvalue of H0, H+ or H, where the block transfer matrices have
+their poles and their singular points: the expansion in eps holds for eps
+well below d, so a schedule that starts above d spends its steps before
+the expansion holds.  The logarithms of the whole schedule are one stacked
+logarithm (which ``oplog`` cuts into pieces when the block is large),
+scanned in order; if that stack raises, the heights are taken again one at
+a time, so the route raises only at a height that the scan reaches.
 """
 
 from __future__ import annotations
@@ -42,14 +46,14 @@ from .errors import ConvergenceError, KreinShiftError, PreconditionError
 from .matkit import (
     HermitianEig,
     SignedFactorization,
-    apply_spectral_function,
     as_matrix,
     eig_hermitian,
     frobenius,
     hermitian_part,
+    is_hermitian,
     sign_factorization,
 )
-from .oplog import STACK_ENTRIES, logm_antidissipative, logm_dissipative
+from .oplog import logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
@@ -93,9 +97,10 @@ class HerglotzFamily:
     """
 
     def __init__(self, h0, factorization: SignedFactorization):
-        self.h0 = hermitian_part(as_matrix(h0))
-        if frobenius(self.h0 - as_matrix(h0)) > 1e-12 * max(frobenius(h0), 1e-300):
+        h0 = as_matrix(h0)
+        if not is_hermitian(h0):
             raise PreconditionError("base matrix must be Hermitian")
+        self.h0 = hermitian_part(h0)
         self.fact = factorization
         if factorization.dim != self.h0.shape[0]:
             raise PreconditionError(
@@ -130,17 +135,15 @@ class HerglotzFamily:
         Traces are basis-independent, so either construction yields the same
         shift function.
         """
-        v = as_matrix(v)
-        w = np.linalg.eigvalsh(hermitian_part(v))
+        e = eig_hermitian(v)
+        w, u = e.eigenvalues, e.vectors
         scale = max(float(np.max(np.abs(w))) if w.size else 0.0, np.finfo(float).tiny)
         if w.size and w[0] < -1e-12 * scale:
             raise PreconditionError(
                 f"perturbation is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             )
-        root = apply_spectral_function(v, lambda x: math.sqrt(max(x, 0.0)))
-        fact = SignedFactorization(
-            k=root, j_signs=np.ones(v.shape[0]), n_plus=v.shape[0], n_minus=0
-        )
+        root = hermitian_part((u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T)
+        fact = SignedFactorization(k=root, j_signs=np.ones(e.dim), n_plus=e.dim, n_minus=0)
         return cls(h0, fact)
 
     # ------------------------------------------------------------------
@@ -271,15 +274,13 @@ class ShiftProjection(NamedTuple):
 def shift_projection(stack) -> ShiftProjection:
     """Shift projections of a stack of Hermitian matrices of shape (m, r, r),
     from one batched eigendecomposition of their Hermitian parts."""
-    m = np.asarray(stack, dtype=np.complex128)
-    w, u = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    w, u = np.linalg.eigh(hermitian_part(stack))
     absw = np.abs(w)
     scale = np.maximum(1.0, absw.max(axis=-1, initial=0.0))
     singular = np.any(absw <= SINGULAR_RTOL * scale[..., None], axis=-1)
     neg = w < 0.0
     p = (u * neg[..., None, :]) @ u.conj().swapaxes(-1, -2)
-    p = 0.5 * (p + p.conj().swapaxes(-1, -2))
-    return ShiftProjection(p, np.count_nonzero(neg, axis=-1), singular, w, u)
+    return ShiftProjection(hermitian_part(p), np.count_nonzero(neg, axis=-1), singular, w, u)
 
 
 def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
@@ -293,20 +294,6 @@ def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
     log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
     sign = 1.0 if which is SignBlock.PLUS else -1.0
     return log_abs + (sign * math.pi * 1j) * sp.projection[0]
-
-
-def _schedule_logs(take_log, evaluate, lam: float, heights: np.ndarray, chunk: int):
-    """Logarithms of evaluate(lam + i*eps) for the heights in order, taken
-    as stacks of ``chunk`` heights and only as far as the caller reads.  A
-    stack that raises is taken again one height at a time, so an error
-    surfaces only at a height the caller reaches."""
-    for start in range(0, heights.size, chunk):
-        part = heights[start : start + chunk]
-        try:
-            logs = take_log(evaluate(lam + 1j * part))
-        except KreinShiftError:
-            logs = (take_log(evaluate(lam + 1j * eps)) for eps in part)
-        yield from logs
 
 
 def boundary_log(
@@ -349,8 +336,12 @@ def boundary_log(
             )
         return val, ConvergenceRecord("direct", 0, 0.0, True)
 
-    heights = EPS0 * EPS_FACTOR ** np.arange(EPS_STEPS)
-    logs = _schedule_logs(take_log, evaluate, lam, heights, max(1, STACK_ENTRIES // block**2))
+    eps0 = min(EPS0, float(np.min(np.abs(fam.all_spectra() - lam))))
+    heights = eps0 * EPS_FACTOR ** np.arange(EPS_STEPS)
+    try:
+        logs = take_log(evaluate(lam + 1j * heights))
+    except KreinShiftError:
+        logs = (take_log(evaluate(lam + 1j * eps)) for eps in heights)
     prev = None
     prev_rich = None
     cauchy = np.inf

@@ -31,7 +31,6 @@ __all__ = [
     "solve_shifted",
     "det",
     "expm",
-    "positive_negative_parts",
     "sign_factorization",
     "check_tolerance",
 ]
@@ -112,9 +111,28 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def imaginary_part(a) -> np.ndarray:
-    """The Hermitian matrix (A - A*)/(2i), or one per matrix of a stack."""
+    """The Hermitian matrix (A - A*)/(2i), or one per matrix of a stack.
+
+    Formed as A/(2i) - A*/(2i), which, like ``hermitian_part``, does not
+    overflow where the entries of A are finite.
+    """
     m = np.asarray(a, dtype=np.complex128)
-    return (m - m.conj().swapaxes(-1, -2)) / 2j
+    return m / 2j - m.conj().swapaxes(-1, -2) / 2j
+
+
+def _as_stack(a) -> tuple[np.ndarray, bool]:
+    """A square matrix, or a stack of them (m, n, n), as a complex stack
+    with finite entries, and whether it was a single matrix.  A refusal of
+    a stack names the first matrix at fault."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim != 3:
+        return as_matrix(m)[None], True
+    if m.shape[1] != m.shape[2]:
+        raise PreconditionError(f"expected a stack of square matrices, got shape {m.shape}")
+    bad = ~np.isfinite(m).all(axis=(1, 2))
+    if bad.any():
+        raise PreconditionError(f"matrix {int(np.argmax(bad))} of the stack has non-finite entries")
+    return m, False
 
 
 def _asymmetry(m: np.ndarray, rtol: float) -> tuple:
@@ -187,20 +205,12 @@ def apply_spectral_function(a, f) -> np.ndarray:
     decomposition whose eigenvalues overflow is refused before ``f`` is
     evaluated.  The output is re-symmetrized when ``f`` is real valued.
     """
-    m = np.asarray(a, dtype=np.complex128)
-    stacked = m.ndim == 3
-    if stacked:
-        if m.shape[1] != m.shape[2]:
-            raise PreconditionError(f"expected a stack of square matrices, got shape {m.shape}")
-        if m.size and not np.all(np.isfinite(m)):
-            raise PreconditionError("matrix entries must be finite")
-    else:
-        m = as_matrix(m)[None]
+    m, single = _as_stack(a)
     asym, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
     bad = np.flatnonzero(asym)
     if bad.size:
         i = int(bad[0])
-        which = f"matrix {i} of the stack" if stacked else "matrix"
+        which = "matrix" if single else f"matrix {i} of the stack"
         raise PreconditionError(
             f"{which} is not Hermitian: asymmetry {dev[i]:.3e} exceeds "
             f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
@@ -211,7 +221,7 @@ def apply_spectral_function(a, f) -> np.ndarray:
     finite = np.isfinite(w).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        which = f" of matrix {i} of the stack" if stacked else ""
+        which = "" if single else f" of matrix {i} of the stack"
         raise PreconditionError(
             f"the Hermitian eigendecomposition{which} has non-finite eigenvalues "
             f"{w[i][~np.isfinite(w[i])]}"
@@ -225,14 +235,14 @@ def apply_spectral_function(a, f) -> np.ndarray:
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.flatnonzero(~finite.all(axis=1))[0])
-        which = f" of matrix {i} of the stack" if stacked else ""
+        which = "" if single else f" of matrix {i} of the stack"
         raise PreconditionError(
             f"function is not finite at eigenvalue(s) {w[i][~finite[i]]}{which}"
         )
     out = (u * vals[:, None, :]) @ u.conj().swapaxes(-1, -2)
     if vals.size == 0 or np.all(vals.imag == 0.0):
         out = hermitian_part(out)
-    return out if stacked else out[0]
+    return out[0] if single else out
 
 
 def solve_shifted(a, z, b) -> np.ndarray:
@@ -289,18 +299,6 @@ def expm(a) -> np.ndarray:
     for _ in range(s):
         acc = acc @ acc
     return acc
-
-
-def positive_negative_parts(v) -> tuple[np.ndarray, np.ndarray]:
-    """Split a Hermitian matrix into its positive and negative parts.
-
-    Returns (V+, V-) with V+ - V- = V, both positive semidefinite, and
-    V+ V- = 0 up to roundoff.
-    """
-    e = eig_hermitian(v)
-    plus = (e.vectors * np.clip(e.eigenvalues, 0.0, None)) @ e.vectors.conj().T
-    minus = (e.vectors * np.clip(-e.eigenvalues, 0.0, None)) @ e.vectors.conj().T
-    return hermitian_part(plus), hermitian_part(minus)
 
 
 @dataclass(frozen=True)

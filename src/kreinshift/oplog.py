@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .matkit import (
+    _as_stack,
     as_matrix,
     check_tolerance,
     det,
@@ -125,20 +126,6 @@ def _margins(stack: np.ndarray) -> np.ndarray:
     if stack.shape[1] == 0:
         return np.zeros(stack.shape[0])
     return np.linalg.eigvalsh(imaginary_part(stack))[:, 0]
-
-
-def _as_stack(a) -> tuple[np.ndarray, bool]:
-    """A square matrix, or a stack of them (m, n, n), as a complex stack,
-    and whether it was a single matrix."""
-    m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 3:
-        return as_matrix(m)[None], True
-    if m.shape[1] != m.shape[2]:
-        raise PreconditionError(f"expected a stack of square matrices, got shape {m.shape}")
-    bad = ~np.isfinite(m).all(axis=(1, 2))
-    if bad.any():
-        raise PreconditionError(f"matrix {int(np.argmax(bad))} of the stack has non-finite entries")
-    return m, False
 
 
 def _require_dissipative(stack: np.ndarray, scale: np.ndarray, sign: int, single: bool) -> None:

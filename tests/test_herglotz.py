@@ -158,10 +158,16 @@ class TestBoundaryLog:
 
     def test_eps_route_diverges_at_hidden_eigenvalue(self):
         # lambda at an eigenvalue of H (not of H0 or H+): the minus-block
-        # matrix is singular there and the schedule cannot settle
+        # matrix is singular there and has no logarithm
         fam = rank_one_family(-1.0)
         with pytest.raises((ConvergenceError, PreconditionError)):
-            boundary_log(fam, SignBlock.MINUS, -1.0 + 1e-13, route="eps")
+            boundary_log(fam, SignBlock.MINUS, -1.0, route="eps")
+        # 1e-13 from it the schedule starts below that distance and settles
+        # on the boundary value log|1 + 1/lam| - i*pi
+        lam = -1.0 + 1e-13
+        val, rec = boundary_log(fam, SignBlock.MINUS, lam, route="eps")
+        assert rec.converged
+        assert abs(val[0, 0] - complex(np.log(abs(1.0 + 1.0 / lam)), -np.pi)) <= 1e-8
 
     def test_decay_of_plus_log(self):
         rng = np.random.default_rng(29)
@@ -243,18 +249,38 @@ class TestFamilyConstruction:
         with pytest.raises(PreconditionError):
             HerglotzFamily.from_potential(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    def test_huge_base_judged_without_overflow(self):
+        # norms past about 1e154 overflow; inf <= inf once passed any matrix
+        with pytest.raises(PreconditionError, match="must be Hermitian"):
+            HerglotzFamily.from_potential(1e200 * np.array([[1.0, 1.0], [0.0, 2.0]]), np.eye(2))
+        h0 = 1e200 * np.array([[1.0, 0.5], [0.5, 2.0]])
+        fam = HerglotzFamily.from_potential(h0, np.eye(2))
+        assert np.array_equal(fam.h0, h0)
+
+    def test_positive_root_squares_to_v(self):
+        rng = np.random.default_rng(35)
+        c = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        v = c @ c.conj().T
+        fam = HerglotzFamily.from_positive_root(random_hermitian(rng, 4), v)
+        root = fam.fact.k
+        assert np.array_equal(root, root.conj().T)
+        assert frobenius(root @ root - v) <= 1e-12 * frobenius(v)
+        assert fam.n_plus == 4 and fam.n_minus == 0
+
 
 def sequential_eps(fam, which, lam):
-    """The eps route one height at a time from lone logarithms: the value
-    and step where the Richardson iterates meet the Cauchy tolerance, or
-    None when the schedule runs out."""
+    """The eps route one height at a time from lone logarithms, starting at
+    EPS0 or, when nearer, at the distance to the nearest eigenvalue of H0,
+    H+ or H: the value and step where the Richardson iterates meet the
+    Cauchy tolerance, or None when the schedule runs out."""
     if which is SignBlock.PLUS:
         evaluate, take_log = fam.evaluate_phi_plus, logm_dissipative
     else:
         evaluate, take_log = fam.evaluate_phi_minus_tilde, logm_antidissipative
+    spectra = np.concatenate([fam.eig0.eigenvalues, fam.eig_plus.eigenvalues, fam.eig_h.eigenvalues])
     factor = herglotz.EPS_FACTOR
     prev = prev_rich = None
-    eps = herglotz.EPS0
+    eps = min(herglotz.EPS0, float(np.min(np.abs(spectra - lam))))
     for step in range(1, herglotz.EPS_STEPS + 1):
         cur = take_log(evaluate(lam + 1j * eps))
         if prev is not None:
@@ -290,13 +316,38 @@ class TestStackedEpsRoute:
                 assert (rec.route, rec.steps, rec.converged) == ("eps", steps, True)
                 assert frobenius(val - ref) <= 1e-12
 
-    def test_near_an_eigenvalue_still_raises(self):
+    def test_near_an_eigenvalue_still_raises(self, monkeypatch):
+        # the schedule starts at the distance to the eigenvalue and
+        # converges here; two heights give no Cauchy difference
+        monkeypatch.setattr(herglotz, "EPS_STEPS", 2)
         rng = np.random.default_rng(40)
         fam = HerglotzFamily.from_potential(*random_pair(rng, 4, 6))
         lam = float(fam.eig0.eigenvalues[1] + 1e-5 * fam.spectral_diameter())
         assert sequential_eps(fam, SignBlock.PLUS, lam)[0] is None
         with pytest.raises(ConvergenceError, match="did not converge"):
             boundary_log(fam, SignBlock.PLUS, lam, route="eps")
+
+    @pytest.mark.parametrize(
+        "seed, n, r, lam, which",
+        [
+            (5, 6, 4, 0.4269608098285117, SignBlock.PLUS),
+            (5, 6, 4, 0.42801654821348634, SignBlock.MINUS),
+            (9, 4, 2, -1.3231738879131982, SignBlock.PLUS),
+            (9, 4, 2, -1.320763390058193, SignBlock.MINUS),
+            # 4.4e-5 diameters from an eigenvalue of H+, where phi_plus is
+            # singular, and 0.046 from the nearest pole, of H0
+            (12, 4, 2, -0.4136672840242022, SignBlock.PLUS),
+        ],
+    )
+    def test_converges_near_an_eigenvalue(self, seed, n, r, lam, which):
+        # safe_grid points that a schedule starting at EPS0 never settled
+        rng = np.random.default_rng(seed)
+        h0 = random_hermitian(rng, n)
+        fam = HerglotzFamily.from_potential(h0, random_indefinite(rng, n, r))
+        val, rec = boundary_log(fam, which, lam, route="eps")
+        direct, _ = boundary_log(fam, which, lam, route="direct")
+        assert rec.route == "eps" and rec.converged
+        assert frobenius(val - direct) <= 1e-6
 
     def test_a_stack_that_raises_is_taken_one_height_at_a_time(self, monkeypatch):
         # a stacked logarithm that fails (as one might at a height past the

@@ -15,8 +15,8 @@ from kreinshift.matkit import (
     expm,
     frobenius,
     hermitian_part,
+    imaginary_part,
     is_hermitian,
-    positive_negative_parts,
     sign_factorization,
     solve_shifted,
     trace,
@@ -109,7 +109,7 @@ class TestSpectralFunction:
             apply_spectral_function(stack, lambda x: math.inf if x < 0.5 else x)
         with pytest.raises(PreconditionError, match="undefined at an eigenvalue"):
             apply_spectral_function(stack, lambda x: 1.0 / x)
-        with pytest.raises(PreconditionError, match="must be finite"):
+        with pytest.raises(PreconditionError, match="^matrix 1 of the stack has non-finite entries$"):
             apply_spectral_function(np.stack([np.eye(2), np.diag([1.0, np.inf])]), np.exp)
         with pytest.raises(PreconditionError, match="square"):
             apply_spectral_function(np.zeros((2, 2, 3)), np.exp)
@@ -190,6 +190,21 @@ class TestHermitianPart:
             assert np.array_equal(got, hermitian_part(a))
 
 
+class TestImaginaryPart:
+    def test_stack_bits_unchanged(self):
+        rng = np.random.default_rng(16)
+        stack = rng.standard_normal((50, 30, 30)) + 1j * rng.standard_normal((50, 30, 30))
+        for scale in (1.0, 3.7, 1e300, 1e-300):
+            a = scale * stack
+            assert np.array_equal(imaginary_part(a), (a - a.conj().swapaxes(1, 2)) / 2j)
+
+    def test_huge_entries_do_not_overflow(self):
+        a = 1e308 * np.array([[0.0, 1j], [1j, 0.0]])
+        with np.errstate(all="raise"):
+            got = imaginary_part(a)
+        assert np.array_equal(got, 1e308 * np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
 class TestSortedUnique:
     @staticmethod
     def bits(x):
@@ -257,31 +272,6 @@ class TestExpm:
     def test_nilpotent(self):
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(expm(n), np.eye(2) + n)
-
-
-class TestParts:
-    def test_diagonal(self):
-        plus, minus = positive_negative_parts(np.diag([2.0, -3.0]))
-        assert np.allclose(plus, np.diag([2.0, 0.0]))
-        assert np.allclose(minus, np.diag([0.0, 3.0]))
-
-    def test_psd_passthrough(self):
-        rng = np.random.default_rng(6)
-        c = rng.standard_normal((4, 4))
-        v = c @ c.T
-        plus, minus = positive_negative_parts(v)
-        assert frobenius(plus - v) <= 1e-12 * frobenius(v)
-        assert frobenius(minus) <= 1e-12 * frobenius(v)
-
-    def test_postconditions_random(self):
-        rng = np.random.default_rng(7)
-        v = random_hermitian(rng, 6)
-        plus, minus = positive_negative_parts(v)
-        nv = frobenius(v)
-        assert np.linalg.eigvalsh(plus).min() >= -1e-12 * nv
-        assert np.linalg.eigvalsh(minus).min() >= -1e-12 * nv
-        assert frobenius(plus - minus - v) <= 1e-12 * nv
-        assert frobenius(plus @ minus) <= 1e-12 * nv * nv
 
 
 class TestSignFactorization:
