@@ -17,7 +17,10 @@ an output file that cannot be opened.  Each command takes only the flags it read
 ``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
 opened (or refused) before any work is done.  Every grid is evaluated in
 one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is
-ignored.
+ignored.  Each command runs numpy's OpenBLAS at one thread and gives the
+caller's thread count back after, so its output is the same bytes at any
+OPENBLAS_NUM_THREADS; under a BLAS without an OpenBLAS thread setter that
+is not promised.
 
 Each command imports only the layers it runs (``xi`` the family and the
 profiles, ``logm`` the logarithm, ``check`` the suites, ``average`` and
@@ -123,6 +126,58 @@ def _write_finite_row(stream, header, row) -> None:
     if bad:
         raise KreinShiftError("result is not finite in double precision: " + ", ".join(bad))
     write_csv(stream, header, [[format_float(x) for x in row]])
+
+
+# the OpenBLAS thread setter and getter, by the names its builds export
+_OPENBLAS_THREAD_FUNCTIONS = (
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+)
+
+
+def _openblas_thread_functions():
+    """The (setter, getter) of the OpenBLAS that numpy loaded, or None.
+
+    They are looked up through the handle of numpy's LAPACK module, since a
+    symbol lookup on a library handle also searches the libraries it
+    links.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_FUNCTIONS:
+        set_threads = getattr(lib, set_name, None)
+        get_threads = getattr(lib, get_name, None)
+        if set_threads is not None and get_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, then restore the count it
+    had.  A BLAS product splits its sums by thread count, so only a fixed
+    count gives the same bytes everywhere, and at the sizes the commands
+    take more threads only busy-wait.  Without a setter nothing changes."""
+    funcs = _openblas_thread_functions()
+    if funcs is None:
+        yield
+        return
+    set_threads, get_threads = funcs
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 @contextlib.contextmanager
@@ -351,7 +406,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        with _output(args) as stream:
+        with _one_blas_thread(), _output(args) as stream:
             return args.func(args, stream)
     except KreinShiftError as exc:
         # malformed input is a usage error; violated mathematical bounds

@@ -90,6 +90,8 @@ class ConvergenceRecord:
 class HerglotzFamily:
     """A bound pair (H0, V) with eagerly cached spectral data.
 
+    H0, H+ = H0 + V+ and H = H0 + V are decomposed by one stacked
+    ``eig_hermitian`` call; a pair whose sums overflow is refused.
     Instances are immutable after construction and safe to share between
     threads.  The factorization fixes the auxiliary block sizes n_plus and
     n_minus; either block may be empty, in which case the corresponding
@@ -111,14 +113,18 @@ class HerglotzFamily:
         kplus = k[:, : factorization.n_plus]
         self.v = factorization.reconstruct()
         self.v_plus = hermitian_part(kplus @ kplus.conj().T)
-        self.h_plus = hermitian_part(self.h0 + self.v_plus)
-        self.h = hermitian_part(self.h0 + self.v)
-        self.eig0: HermitianEig = eig_hermitian(self.h0)
-        self.eig_plus: HermitianEig = eig_hermitian(self.h_plus)
-        self.eig_h: HermitianEig = eig_hermitian(self.h)
-        # resolvent sandwiches reduce to diagonal sums through these
-        self._w0 = self.eig0.vectors.conj().T @ k
-        self._wp = self.eig_plus.vectors.conj().T @ k
+        # exactly Hermitian sums; one that overflows is refused, unwarned
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.h_plus = self.h0 + self.v_plus
+            self.h = self.h0 + self.v
+        if not (np.isfinite(self.h_plus).all() and np.isfinite(self.h).all()):
+            raise PreconditionError("H0 + V overflows: its entries are not finite")
+        eig = eig_hermitian(np.stack([self.h0, self.h_plus, self.h]))
+        self.eig0, self.eig_plus, self.eig_h = (
+            HermitianEig(w, u) for w, u in zip(eig.eigenvalues, eig.vectors)
+        )
+        # resolvent sandwiches reduce to diagonal sums through K in each basis
+        self._w0, self._wp, self._wh = eig.vectors.conj().swapaxes(-1, -2) @ k
 
     @classmethod
     def from_potential(cls, h0, v, rank_tol: float = 1e-12) -> "HerglotzFamily":
@@ -231,12 +237,6 @@ class HerglotzFamily:
         return np.eye(self.n_minus, dtype=np.complex128) - q
 
     # closed-form inverses, used as independent cross-checks ------------
-    @property
-    def _wh(self) -> np.ndarray:
-        """K in the eigenbasis of H; built on demand, since only these
-        cross-checks need it."""
-        return self.eig_h.vectors.conj().T @ self.fact.k
-
     def evaluate_phi_inverse(self, z) -> np.ndarray:
         """J - J K*(H - z)^(-1) K J."""
         q = self._quad(self.eig_h.eigenvalues, self._wh, z)

@@ -163,7 +163,8 @@ def is_hermitian(a, rtol: float = HERMITIAN_RTOL) -> bool:
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or one per matrix of a
+    stack (eigenvalues (m, n), vectors (m, n, n)).
 
     ``eigenvalues`` is real and ascending; the columns of ``vectors`` are the
     matching orthonormal eigenvectors.
@@ -174,36 +175,18 @@ class HermitianEig:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
 
 def eig_hermitian(a) -> HermitianEig:
     """Eigendecomposition of a Hermitian matrix (ascending eigenvalues).
 
-    The input must be Hermitian within ``1e-12 * ||A||_F``; it is symmetrized
-    before factorization so that roundoff-level asymmetry is harmless.
-    """
-    m = as_matrix(a)
-    bad, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
-    if bad:
-        raise PreconditionError(
-            f"matrix is not Hermitian: asymmetry {dev:.3e} exceeds "
-            f"{HERMITIAN_RTOL:g} * ||A||_F = {limit:.3e}"
-        )
-    w, u = np.linalg.eigh(hermitian_part(m))
-    return HermitianEig(w, u)
-
-
-def apply_spectral_function(a, f) -> np.ndarray:
-    """Return U diag(f(w_i)) U* for the Hermitian eigendecomposition of ``a``.
-
-    ``a`` is one matrix or a stack (m, n, n); a stack gives the stack of
-    results from one batched ``eigh``, each equal to the result for its
-    matrix alone.  Each matrix must be Hermitian within ``1e-12 * ||A||_F``
-    (a refusal names the index of the first that is not).  ``f`` is a scalar
-    function evaluated at each eigenvalue; it must be finite there.  A
-    decomposition whose eigenvalues overflow is refused before ``f`` is
-    evaluated.  The output is re-symmetrized when ``f`` is real valued.
+    ``a`` is one matrix or a stack (m, n, n); a stack is decomposed by one
+    batched ``eigh``, each item equal to the decomposition of its matrix
+    alone.  Each matrix must be Hermitian within ``1e-12 * ||A||_F`` (a
+    refusal of a stack names the index of the first that is not); it is
+    symmetrized before factorization so that roundoff-level asymmetry is
+    harmless.
     """
     m, single = _as_stack(a)
     asym, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
@@ -216,6 +199,22 @@ def apply_spectral_function(a, f) -> np.ndarray:
             f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
         )
     w, u = np.linalg.eigh(hermitian_part(m))
+    return HermitianEig(w[0], u[0]) if single else HermitianEig(w, u)
+
+
+def apply_spectral_function(a, f) -> np.ndarray:
+    """Return U diag(f(w_i)) U* for the Hermitian eigendecomposition of ``a``.
+
+    ``a`` is one matrix or a stack (m, n, n), decomposed and checked by
+    ``eig_hermitian``; a stack gives the stack of results, each equal to
+    the result for its matrix alone.  ``f`` is a scalar function evaluated
+    at each eigenvalue; it must be finite there.  A decomposition whose
+    eigenvalues overflow is refused before ``f`` is evaluated.  The output
+    is re-symmetrized when ``f`` is real valued.
+    """
+    e = eig_hermitian(a)
+    single = e.eigenvalues.ndim == 1
+    w, u = (e.eigenvalues[None], e.vectors[None]) if single else (e.eigenvalues, e.vectors)
     # finite entries can overflow on the way to the eigenvalues; f is not
     # at fault then
     finite = np.isfinite(w).all(axis=1)

@@ -2,9 +2,9 @@
 
 Three independent routes to the shift function of a pair (H0, H0 + V):
 
-* operator route: traces of the boundary-value shift operators obtained
-  from the imaginary parts of the block logarithms (the primary output,
-  since it alone yields the operators themselves);
+* operator route: traces, that is ranks, of the boundary-value shift
+  projections obtained from the imaginary parts of the block logarithms
+  (the primary output, since it alone yields the operators themselves);
 * determinant route: the tracked phase of det(I + V (H0 - z)^(-1)) as
   z = lambda + i*eta descends to the real axis, evaluated through Sylvester's
   identity as det(J) det(phi(z)) from the spectrum of H0 and the r x r
@@ -101,20 +101,16 @@ def _block_operators(fam, which, lams) -> ShiftProjection:
     return shift_projection(fam.evaluate_phi_minus_tilde(lams))
 
 
-def _regular(sp: ShiftProjection, lams) -> np.ndarray:
-    """The projections of sp, after checking that no boundary matrix is
-    flagged singular, where the direct route has no value to give."""
+def _regular(sp: ShiftProjection, lams) -> ShiftProjection:
+    """sp, after checking that no boundary matrix is flagged singular,
+    where the direct route has no value to give."""
     if sp.singular.any():
         lam = float(lams[sp.singular][0])
         raise PreconditionError(
             f"boundary matrix is singular at lambda={lam!r}; "
             "the direct route is unavailable"
         )
-    return sp.projection
-
-
-def _traces(ops: np.ndarray) -> np.ndarray:
-    return np.trace(ops, axis1=-2, axis2=-1).real
+    return sp
 
 
 def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
@@ -122,21 +118,21 @@ def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray
     the orthogonal projection onto the negative eigenspace of the boundary
     matrix.  Raises PreconditionError where that matrix is singular."""
     lams = np.array([float(lam)])
-    return _regular(_block_operators(fam, which, lams), lams)[0]
+    return _regular(_block_operators(fam, which, lams), lams).projection[0]
 
 
 def xi_at(fam: HerglotzFamily, lam):
-    """Shift function via the operator route: tr of the + operator minus tr
-    of the - operator.  A scalar lam gives a float; an array of points gives
-    the array of values, evaluated in batched chunks as in
-    ``compute_profile``.  Raises PreconditionError at a point where a
-    boundary matrix is singular."""
+    """Shift function via the operator route: the rank of the + projection
+    minus that of the - projection, an exact integer held as a float.  A
+    scalar lam gives a float; an array of points gives the array of values,
+    evaluated in batched chunks as in ``compute_profile``.  Raises
+    PreconditionError at a point where a boundary matrix is singular."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
     vals = np.concatenate([
-        _traces(_regular(_block_operators(fam, SignBlock.PLUS, lams[s]), lams[s]))
-        - _traces(_regular(_block_operators(fam, SignBlock.MINUS, lams[s]), lams[s]))
+        _regular(_block_operators(fam, SignBlock.PLUS, lams[s]), lams[s]).rank
+        - _regular(_block_operators(fam, SignBlock.MINUS, lams[s]), lams[s]).rank
         for s in _chunks(fam, lams.size)
-    ])
+    ]).astype(float)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
@@ -610,9 +606,10 @@ def safe_grid(fam: HerglotzFamily, n_min: int = 50) -> np.ndarray:
 @dataclass
 class ShiftProfile:
     """Shift data on a grid of evaluated points: the shift function, its two
-    halves, the eigenvalues of both shift operators per point (descending:
-    as many ones as the rank of the projection, then zeros), the counting
-    oracle and optionally the determinant route."""
+    halves (the ranks of the two shift operators), the eigenvalues of both
+    operators per point (descending: as many ones as the rank of the
+    projection, then zeros), the counting oracle and optionally the
+    determinant route."""
 
     grid: np.ndarray
     xi: np.ndarray
@@ -647,8 +644,9 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
     singular is moved by the same doubling search, from the point itself
     toward the hull center, to the first spot where neither is, before
     anything reads it; ``grid`` holds the evaluated points.  Every operator
-    is an exact projection, so its eigenvalues are its rank in ones, then
-    zeros.  The counting oracle is one vectorized count per chunk; the
+    is an exact projection, so ``xi_plus`` and ``xi_minus`` are ranks
+    (exact integers as floats) and its eigenvalues are its rank in ones,
+    then zeros.  The counting oracle is one vectorized count per chunk; the
     determinant route (``include_det``) is one ``xi_via_det`` call over the
     whole grid.
     """
@@ -665,12 +663,12 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
             lams[moved] = [nudge(x) for x in lams[moved]]
             sps = _both_blocks(fam, lams)
         for sp, xcol, ecol in zip(sps, ("xp", "xm"), ("ep", "em")):
-            cols[xcol].append(_traces(_regular(sp, lams)))
+            cols[xcol].append(_regular(sp, lams).rank)
             block = sp.projection.shape[-1]
             cols[ecol].extend((np.arange(block) < sp.rank[:, None]).astype(float))
         cols["oracle"].append(xi_counting_oracle(fam, lams))
-    xp = np.concatenate(cols["xp"])
-    xm = np.concatenate(cols["xm"])
+    xp = np.concatenate(cols["xp"]).astype(float)
+    xm = np.concatenate(cols["xm"]).astype(float)
     return ShiftProfile(
         grid=grid,
         xi=xp - xm,

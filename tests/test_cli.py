@@ -1,13 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinshift
 from kreinshift import checks, cli
 from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
 from kreinshift.cli import main
+from kreinshift.errors import KreinShiftError
+from kreinshift.generators import random_hermitian, random_indefinite
 from kreinshift.io import format_float, read_matrix, write_matrix
+
+SRC = str(Path(kreinshift.__file__).resolve().parent.parent)
 
 
 @pytest.fixture()
@@ -33,6 +42,7 @@ def matrix_files(tmp_path):
     # its norms overflow, where inf <= inf would pass an unscaled check
     put("nonherm_huge", 1e200 * np.array([[1.0, 1.0], [0.0, 2.0]]))
     put("k_lower2", np.array([[1.0, 0.0], [0.5, 1.0]]))
+    put("eye_huge", 1e308 * np.eye(2))
     return paths
 
 
@@ -222,6 +232,16 @@ class TestXiCommand:
         assert code == 2
         assert out == "" and err == f"error: base matrix in {h0} is not Hermitian\n"
 
+    def test_overflowing_pair_exit_1_on_one_line(self, matrix_files, capsys):
+        # H0 + V is past the double range: one error line and no warning
+        huge = matrix_files["eye_huge"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "xi", "--h0", huge, "--v", huge)
+        assert code == 1
+        assert out == "" and err.startswith("error: H0 + V overflows") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     @pytest.mark.parametrize(
         "flag, value, message",
         [("--rank-tol", "-1", "rank_tol"), ("--rank-tol", "nan", "rank_tol")],
@@ -273,6 +293,57 @@ class TestXiCommand:
         )
         assert code == 0 and out == ""
         assert dest.read_text().startswith("lambda,")
+
+
+class TestBlasThreads:
+    @staticmethod
+    def thread_functions():
+        funcs = cli._openblas_thread_functions()
+        if funcs is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+        return funcs
+
+    def test_xi_csv_same_bytes_at_one_and_two_threads(self, tmp_path):
+        self.thread_functions()
+        rng = np.random.default_rng(7)
+        write_matrix(tmp_path / "h0.json", random_hermitian(rng, 120))
+        write_matrix(tmp_path / "v.json", random_indefinite(rng, 120, 8))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+            proc = subprocess.run(
+                [sys.executable, "-m", "kreinshift.cli", "xi", "--grid", "auto",
+                 "--h0", str(tmp_path / "h0.json"), "--v", str(tmp_path / "v.json")],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    def test_main_runs_one_thread_and_restores_the_count(self, capsys, monkeypatch):
+        set_threads, get_threads = self.thread_functions()
+        seen = []
+
+        def command(args, stream):
+            seen.append(get_threads())
+            if len(seen) == 2:
+                raise KreinShiftError("failed on purpose")
+            return 0
+
+        monkeypatch.setattr(cli, "_cmd_check", command)
+        before = get_threads()
+        set_threads(2)
+        try:
+            assert get_threads() == 2
+            assert main(["check", "herglotz"]) == 0
+            assert get_threads() == 2
+            assert main(["check", "herglotz"]) == 1
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert seen == [1, 1]
+        assert capsys.readouterr().err == "error: failed on purpose\n"
 
 
 class TestLogmCommand:

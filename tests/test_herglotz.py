@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from kreinshift.herglotz import (
     boundary_log,
     shift_projection,
 )
-from kreinshift.matkit import frobenius, imaginary_part, trace_norm
+from kreinshift.matkit import frobenius, imaginary_part, sign_factorization, trace_norm
 from kreinshift.oplog import DEFAULT_REL_TOL, logm_antidissipative, logm_dissipative
 from kreinshift.shift import safe_grid
 
@@ -256,6 +258,27 @@ class TestFamilyConstruction:
         h0 = 1e200 * np.array([[1.0, 0.5], [0.5, 2.0]])
         fam = HerglotzFamily.from_potential(h0, np.eye(2))
         assert np.array_equal(fam.h0, h0)
+
+    def test_one_stacked_decomposition(self, monkeypatch):
+        rng = np.random.default_rng(36)
+        h0, fact = random_hermitian(rng, 7), sign_factorization(random_indefinite(rng, 7, 4))
+        calls = []
+        real = herglotz.eig_hermitian
+        monkeypatch.setattr(
+            herglotz, "eig_hermitian", lambda a: calls.append(np.shape(a)) or real(a)
+        )
+        fam = HerglotzFamily(h0, fact)
+        assert calls == [(3, 7, 7)]
+        for m, e in ((fam.h0, fam.eig0), (fam.h_plus, fam.eig_plus), (fam.h, fam.eig_h)):
+            w, u = np.linalg.eigh(m)
+            assert np.array_equal(e.eigenvalues, w) and np.array_equal(e.vectors, u)
+
+    def test_overflowing_sum_refused_without_warnings(self):
+        # finite H0 and V whose sum is past the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="^H0 \\+ V overflows"):
+                HerglotzFamily.from_potential(1e308 * np.eye(2), 1e308 * np.eye(2))
 
     def test_positive_root_squares_to_v(self):
         rng = np.random.default_rng(35)

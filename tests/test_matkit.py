@@ -57,6 +57,19 @@ class TestEigHermitian:
         with pytest.raises(PreconditionError):
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_stack_equals_per_matrix_calls(self):
+        rng = np.random.default_rng(16)
+        stack = np.stack([random_hermitian(rng, 6) for _ in range(5)])
+        e = eig_hermitian(stack)
+        assert e.eigenvalues.shape == (5, 6) and e.vectors.shape == (5, 6, 6) and e.dim == 6
+        for i, a in enumerate(stack):
+            one = eig_hermitian(a)
+            assert np.array_equal(e.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(e.vectors[i], one.vectors)
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(PreconditionError, match="^matrix 2 of the stack is not Hermitian"):
+            eig_hermitian(stack)
+
 
 class TestSpectralFunction:
     def test_identity_function(self):

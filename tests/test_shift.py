@@ -507,6 +507,20 @@ class TestBatchedProfile:
             assert np.array_equal(whole.xi_op_minus_eigs[i], p.xi_op_minus_eigs[0])
         assert np.array_equal(xi_at(fam, grid), whole.xi)
 
+    def test_shift_columns_are_rank_differences(self):
+        rng = np.random.default_rng(41)
+        fam = HerglotzFamily.from_potential(
+            random_hermitian(rng, 40), random_indefinite(rng, 40, 20)
+        )
+        grid = auto_grid(fam)
+        plus = shift_projection(fam.evaluate_phi_plus(grid)).rank
+        minus = shift_projection(fam.evaluate_phi_minus_tilde(grid)).rank
+        prof = compute_profile(fam, grid)
+        assert np.array_equal(prof.grid, grid)
+        assert np.array_equal(prof.xi_plus, plus) and np.array_equal(prof.xi_minus, minus)
+        assert np.array_equal(prof.xi, plus - minus)
+        assert np.array_equal(xi_at(fam, grid), plus - minus)
+
     def test_operator_eigenvalues_are_exact(self, random_family):
         grid = safe_grid(random_family, 50)
         prof = compute_profile(random_family, grid)
