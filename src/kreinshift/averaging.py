@@ -27,11 +27,12 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import PreconditionError
-from .herglotz import HerglotzFamily, shift_projection
+from .herglotz import HerglotzFamily, SignBlock, shift_projection
 from .matkit import (
     SignedFactorization,
     _sorted_unique,
@@ -92,26 +93,27 @@ class PerturbationPath:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Real-valued pairing function with a closed-form antiderivative.
+    """Real-valued pairing function f (``value``, also the call) with a
+    closed-form antiderivative F, F' = f (``antiderivative``).
 
-    kinds: "poly" (coeffs ascending), "gauss" (center, width), "imres"
-    (imaginary part of the resolvent at a point in the upper half-plane).
+    The factories bind both once: ``polynomial`` (coefficients ascending),
+    ``gaussian`` (center, width) and ``resolvent_im`` (the imaginary part
+    of the resolvent at a point in the upper half-plane).
     """
 
     __test__ = False  # not a pytest class, despite the name
 
-    kind: str
-    coeffs: tuple = ()
-    center: float = 0.0
-    width: float = 1.0
-    z: complex = 1j
+    value: Callable[[float], float]
+    antiderivative: Callable[[float], float]
 
     @classmethod
     def polynomial(cls, coeffs) -> "TestFunction":
-        coeffs = tuple(float(c) for c in coeffs)
-        if not all(math.isfinite(c) for c in coeffs):
+        c = np.asarray([float(x) for x in coeffs])
+        if not np.isfinite(c).all():
             raise PreconditionError("polynomial coefficients must be finite")
-        return cls(kind="poly", coeffs=coeffs)
+        ints = np.polynomial.polynomial.polyint(c)
+        polyval = np.polynomial.polynomial.polyval
+        return cls(lambda x: float(polyval(x, c)), lambda x: float(polyval(x, ints)))
 
     @classmethod
     def gaussian(cls, center: float, width: float) -> "TestFunction":
@@ -120,7 +122,16 @@ class TestFunction:
             raise PreconditionError("gaussian center and width must be finite")
         if width <= 0:
             raise PreconditionError("gaussian width must be positive")
-        return cls(kind="gauss", center=center, width=width)
+
+        def value(x: float) -> float:
+            u = (x - center) / width
+            return float(math.exp(-0.5 * u * u))
+
+        def antiderivative(x: float) -> float:
+            u = (x - center) / (width * math.sqrt(2.0))
+            return float(width * math.sqrt(0.5 * math.pi) * math.erf(u))
+
+        return cls(value, antiderivative)
 
     @classmethod
     def resolvent_im(cls, z: complex) -> "TestFunction":
@@ -129,29 +140,11 @@ class TestFunction:
             raise PreconditionError("resolvent point must be finite")
         if z.imag <= 0:
             raise PreconditionError("resolvent point must have positive imaginary part")
-        return cls(kind="imres", z=z)
+        # d/dx arg(x - z) = Im(1/(x - z)) for Im z > 0
+        return cls(lambda x: float((1.0 / (x - z)).imag), lambda x: float(np.angle(x - z)))
 
     def __call__(self, x: float) -> float:
-        if self.kind == "poly":
-            return float(np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs)))
-        if self.kind == "gauss":
-            u = (x - self.center) / self.width
-            return float(math.exp(-0.5 * u * u))
-        if self.kind == "imres":
-            return float((1.0 / (x - self.z)).imag)
-        raise PreconditionError(f"unknown test function kind {self.kind!r}")
-
-    def antiderivative(self, x: float) -> float:
-        if self.kind == "poly":
-            ints = np.polynomial.polynomial.polyint(np.asarray(self.coeffs))
-            return float(np.polynomial.polynomial.polyval(x, ints))
-        if self.kind == "gauss":
-            u = (x - self.center) / (self.width * math.sqrt(2.0))
-            return float(self.width * math.sqrt(0.5 * math.pi) * math.erf(u))
-        if self.kind == "imres":
-            # d/dx arg(x - z) = Im(1/(x - z)) for Im z > 0
-            return float(np.angle(x - self.z))
-        raise PreconditionError(f"unknown test function kind {self.kind!r}")
+        return self.value(x)
 
 
 @functools.lru_cache(maxsize=16)
@@ -251,7 +244,7 @@ def _checked_factor(h0: np.ndarray, k, *params: float) -> np.ndarray:
 
 
 def _endpoint_terms(h0, k, s1: float, s2: float) -> list:
-    """(family, transfer matrix, weight) per nonzero end s of [s1, s2]: the
+    """(family, sign block, weight) per nonzero end s of [s1, s2]: the
     family of (H0, H0 + s*KK*) with factor sqrt|s|*K and J = sign(s), whose
     shift operator Xi(lam, s) is its + block operator when s > 0 and minus
     its - block operator when s < 0.  The weight carries that sign and the
@@ -266,8 +259,8 @@ def _endpoint_terms(h0, k, s1: float, s2: float) -> list:
         fam = HerglotzFamily(
             h0, SignedFactorization(math.sqrt(abs(s)) * k, np.full(r, sign), n_plus, r - n_plus)
         )
-        evaluate = fam.evaluate_phi_plus if s > 0 else fam.evaluate_phi_minus_tilde
-        terms.append((fam, evaluate, end * sign))
+        which = SignBlock.PLUS if s > 0 else SignBlock.MINUS
+        terms.append((fam, which, end * sign))
     return terms
 
 
@@ -278,7 +271,10 @@ def _increment(terms: list, lams: np.ndarray) -> np.ndarray:
     profiles: a small coupling or a short [s1, s2] leaves pieces between
     breakpoints narrower than a zone, and the lam-integral needs values
     inside them."""
-    return sum(w * shift_projection(evaluate(lams)).projection for _, evaluate, w in terms)
+    return sum(
+        w * shift_projection(fam.evaluate_block(which, lams)).projection
+        for fam, which, w in terms
+    )
 
 
 @dataclass(frozen=True)
@@ -315,7 +311,7 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
         rhs = np.zeros((r, r), dtype=np.complex128)
     else:
         rhs, _ = integrate_piecewise(integrand, breakpoints)
-    rhs = hermitian_part(rhs) if f.kind != "imres" else rhs
+    rhs = hermitian_part(rhs)
     return OperatorAverageReport(float(frobenius(lhs - rhs)), lhs, rhs)
 
 

@@ -9,11 +9,13 @@ Commands:
 
 Exit codes: 0 success, 1 mathematical check or convergence failure (an
 ``average`` or ``op-average`` result that overflows double precision
-included), 2 usage or parse error: a malformed or unknown flag, grid,
-s-range or test function (a non-finite bound or parameter included), an
-unreadable or non-Hermitian matrix file or one with non-numeric (e.g.
-boolean) entries or dim, a tolerance that is not finite and positive, or
-an output file that cannot be opened.  Each command takes only the flags it reads:
+included, and an ``xi`` pair whose H0 + V or whose eigenvalues overflow,
+for example V = 1e308 * [[1, 0.9], [0.9, 1]]), 2 usage or parse error: a
+malformed or unknown flag, grid, s-range or test function (a non-finite
+bound or parameter included), an unreadable or non-Hermitian matrix file
+or one with non-numeric (e.g. boolean) entries or dim, a tolerance that
+is not finite and positive, or an output file that cannot be opened.
+Each command takes only the flags it reads:
 ``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
 opened (or refused) before any work is done.  Every grid is evaluated in
 one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is

@@ -61,6 +61,7 @@ __all__ = [
     "HerglotzFamily",
     "ShiftProjection",
     "shift_projection",
+    "refuse_singular",
     "boundary_log",
 ]
 
@@ -91,11 +92,13 @@ class HerglotzFamily:
     """A bound pair (H0, V) with eagerly cached spectral data.
 
     H0, H+ = H0 + V+ and H = H0 + V are decomposed by one stacked
-    ``eig_hermitian`` call; a pair whose sums overflow is refused.
-    Instances are immutable after construction and safe to share between
-    threads.  The factorization fixes the auxiliary block sizes n_plus and
-    n_minus; either block may be empty, in which case the corresponding
-    transfer matrix is 0x0 with trace zero.
+    ``eig_hermitian`` call; a pair whose sums overflow is refused.  The
+    sorted joint spectra and their diameter, which set the exclusion zones,
+    are computed once there too.  Instances are immutable after
+    construction and safe to share between threads.  The factorization
+    fixes the auxiliary block sizes n_plus and n_minus; either block may be
+    empty, in which case the corresponding transfer matrix is 0x0 with
+    trace zero.
     """
 
     def __init__(self, h0, factorization: SignedFactorization):
@@ -125,6 +128,10 @@ class HerglotzFamily:
         )
         # resolvent sandwiches reduce to diagonal sums through K in each basis
         self._w0, self._wp, self._wh = eig.vectors.conj().swapaxes(-1, -2) @ k
+        s = self._spectra = np.sort(eig.eigenvalues.ravel())
+        s.setflags(write=False)
+        diam = float(s[-1] - s[0]) if s.size else 0.0
+        self._diameter = diam if diam > 0 else max(1.0, float(np.max(np.abs(s), initial=0.0)))
 
     @classmethod
     def from_potential(cls, h0, v, rank_tol: float = 1e-12) -> "HerglotzFamily":
@@ -170,30 +177,27 @@ class HerglotzFamily:
         return self.fact.n_minus
 
     def all_spectra(self) -> np.ndarray:
-        return np.concatenate(
-            [self.eig0.eigenvalues, self.eig_plus.eigenvalues, self.eig_h.eigenvalues]
-        )
+        """The eigenvalues of H0, H+ and H together, sorted (read-only)."""
+        return self._spectra
 
     def spectral_diameter(self) -> float:
-        s = self.all_spectra()
-        diam = float(s.max() - s.min())
-        return diam if diam > 0 else max(1.0, float(np.max(np.abs(s))))
+        return self._diameter
 
     def exclusion_width(self) -> float:
-        return EXCLUSION_RTOL * self.spectral_diameter()
+        return EXCLUSION_RTOL * self._diameter
 
     def near_spectrum(self, lam, which: SignBlock | None = None) -> np.ndarray:
-        """Whether each point of lam sits inside the exclusion zone of the
-        spectra that the requested boundary value depends on (all three when
-        ``which`` is None)."""
+        """Whether each point of lam is not clear of the exclusion zones of
+        the spectra that the requested boundary value depends on (all three
+        when ``which`` is None); a NaN point is never clear."""
         if which is SignBlock.PLUS:
             eigs = self.eig0.eigenvalues
         elif which is SignBlock.MINUS:
             eigs = np.concatenate([self.eig0.eigenvalues, self.eig_plus.eigenvalues])
         else:
-            eigs = self.all_spectra()
+            eigs = self._spectra
         lam = np.asarray(lam, dtype=float)[..., None]
-        return np.any(np.abs(eigs - lam) <= self.exclusion_width(), axis=-1)
+        return ~np.all(np.abs(eigs - lam) > self.exclusion_width(), axis=-1)
 
     def check_off_spectrum(self, lam, which: SignBlock | None = None) -> None:
         """Raise if lam (a point or an array of points) sits inside an
@@ -235,6 +239,13 @@ class HerglotzFamily:
         npl = self.n_plus
         q = self._quad(self.eig_plus.eigenvalues, self._wp[:, npl:], z)
         return np.eye(self.n_minus, dtype=np.complex128) - q
+
+    def evaluate_block(self, which: SignBlock, z) -> np.ndarray:
+        """The transfer matrix whose boundary value carries the shift data of
+        the block: phi_plus for PLUS, phi_minus~ for MINUS."""
+        if which is SignBlock.PLUS:
+            return self.evaluate_phi_plus(z)
+        return self.evaluate_phi_minus_tilde(z)
 
     # closed-form inverses, used as independent cross-checks ------------
     def evaluate_phi_inverse(self, z) -> np.ndarray:
@@ -283,17 +294,16 @@ def shift_projection(stack) -> ShiftProjection:
     return ShiftProjection(hermitian_part(p), np.count_nonzero(neg, axis=-1), singular, w, u)
 
 
-def _direct_boundary_log(m0: np.ndarray, which: SignBlock) -> np.ndarray | None:
-    """Spectral-calculus log of the Hermitian boundary matrix,
-    log|M| + i*pi*P with P its shift projection (conjugated on the - block),
-    or None when it is numerically singular."""
-    sp = shift_projection(m0[None])
-    if sp.singular[0]:
-        return None
-    u = sp.vectors[0]
-    log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
-    sign = 1.0 if which is SignBlock.PLUS else -1.0
-    return log_abs + (sign * math.pi * 1j) * sp.projection[0]
+def refuse_singular(sp: ShiftProjection, lams) -> ShiftProjection:
+    """sp, after checking that no boundary matrix of the stack, taken at the
+    points lams, is flagged singular: there the direct route has no value."""
+    if sp.singular.any():
+        lam = float(np.asarray(lams, dtype=float)[sp.singular][0])
+        raise PreconditionError(
+            f"boundary matrix is singular at lambda={lam!r}; "
+            "the direct route is unavailable"
+        )
+    return sp
 
 
 def boundary_log(
@@ -313,35 +323,30 @@ def boundary_log(
     if route not in ("direct", "eps"):
         raise PreconditionError(f"unknown route {route!r}")
     fam.check_off_spectrum(lam, which)
-    if which is SignBlock.PLUS:
-        evaluate = fam.evaluate_phi_plus
-        block = fam.n_plus
-        take_log = logm_dissipative
-    else:
-        evaluate = fam.evaluate_phi_minus_tilde
-        block = fam.n_minus
-        take_log = logm_antidissipative
-    if block == 0:
+    plus = which is SignBlock.PLUS
+    if (fam.n_plus if plus else fam.n_minus) == 0:
         return (
             np.zeros((0, 0), dtype=np.complex128),
             ConvergenceRecord("empty", 0, 0.0, True),
         )
 
     if route == "direct":
-        val = _direct_boundary_log(evaluate(lam), which)
-        if val is None:
-            raise PreconditionError(
-                f"boundary matrix is singular at lambda={lam!r}; "
-                "the direct route is unavailable"
-            )
+        # spectral calculus: log|M| + i*pi*P with P the shift projection of
+        # the Hermitian boundary matrix M (conjugated on the - block)
+        sp = refuse_singular(shift_projection(fam.evaluate_block(which, lam)[None]), [lam])
+        u = sp.vectors[0]
+        log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
+        sign = 1.0 if plus else -1.0
+        val = log_abs + (sign * math.pi * 1j) * sp.projection[0]
         return val, ConvergenceRecord("direct", 0, 0.0, True)
 
+    take_log = logm_dissipative if plus else logm_antidissipative
     eps0 = min(EPS0, float(np.min(np.abs(fam.all_spectra() - lam))))
     heights = eps0 * EPS_FACTOR ** np.arange(EPS_STEPS)
     try:
-        logs = take_log(evaluate(lam + 1j * heights))
+        logs = take_log(fam.evaluate_block(which, lam + 1j * heights))
     except KreinShiftError:
-        logs = (take_log(evaluate(lam + 1j * eps)) for eps in heights)
+        logs = (take_log(fam.evaluate_block(which, lam + 1j * eps)) for eps in heights)
     prev = None
     prev_rich = None
     cauchy = np.inf

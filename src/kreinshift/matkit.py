@@ -186,7 +186,8 @@ def eig_hermitian(a) -> HermitianEig:
     alone.  Each matrix must be Hermitian within ``1e-12 * ||A||_F`` (a
     refusal of a stack names the index of the first that is not); it is
     symmetrized before factorization so that roundoff-level asymmetry is
-    harmless.
+    harmless.  Finite entries can overflow on the way to the eigenvalues; a
+    decomposition whose eigenvalues are not finite is refused.
     """
     m, single = _as_stack(a)
     asym, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
@@ -199,6 +200,14 @@ def eig_hermitian(a) -> HermitianEig:
             f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
         )
     w, u = np.linalg.eigh(hermitian_part(m))
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        which = "" if single else f" of matrix {i} of the stack"
+        raise PreconditionError(
+            f"the Hermitian eigendecomposition{which} has non-finite eigenvalues "
+            f"{w[i][~np.isfinite(w[i])]}"
+        )
     return HermitianEig(w[0], u[0]) if single else HermitianEig(w, u)
 
 
@@ -209,22 +218,12 @@ def apply_spectral_function(a, f) -> np.ndarray:
     ``eig_hermitian``; a stack gives the stack of results, each equal to
     the result for its matrix alone.  ``f`` is a scalar function evaluated
     at each eigenvalue; it must be finite there.  A decomposition whose
-    eigenvalues overflow is refused before ``f`` is evaluated.  The output
-    is re-symmetrized when ``f`` is real valued.
+    eigenvalues overflow is refused by ``eig_hermitian``, before ``f`` is
+    evaluated.  The output is re-symmetrized when ``f`` is real valued.
     """
     e = eig_hermitian(a)
     single = e.eigenvalues.ndim == 1
     w, u = (e.eigenvalues[None], e.vectors[None]) if single else (e.eigenvalues, e.vectors)
-    # finite entries can overflow on the way to the eigenvalues; f is not
-    # at fault then
-    finite = np.isfinite(w).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        which = "" if single else f" of matrix {i} of the stack"
-        raise PreconditionError(
-            f"the Hermitian eigendecomposition{which} has non-finite eigenvalues "
-            f"{w[i][~np.isfinite(w[i])]}"
-        )
     try:
         vals = np.asarray(
             [complex(f(float(x))) for x in w.ravel()], dtype=np.complex128

@@ -207,9 +207,7 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
     # pi/2 from the real axis
     steps = delta + math.log(2.0) * np.arange(math.ceil(math.log2(fold / delta)))
     edges = [0.0, *steps[steps < x_fold].tolist(), x_fold, x_fold + 1.0 / fold]
-    val, _ = integrate_adaptive(
-        integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS, stacked=True
-    )
+    val, _ = integrate_adaptive(integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS)
     return -1j * val
 
 

@@ -12,7 +12,7 @@ round are einsum contractions over (panels, 15 nodes, values).  Sums run
 in left-endpoint order, so results are bit-stable however the caller
 orders the segments.
 
-With ``stacked=True`` the leading axis of the integrand's values holds a
+The leading axis of the integrand's values (after the abscissae) holds a
 stack of independent integrals that share one mesh.  Each item keeps its
 own estimate and tolerance, as if it were integrated alone; a round splits
 the panels ranked by their estimate relative to the item's tolerance, and
@@ -117,16 +117,16 @@ class PanelInfo:
     error: float
 
 
-def _panels(f, lo: np.ndarray, hi: np.ndarray, stacked: bool):
+def _panels(f, lo: np.ndarray, hi: np.ndarray):
     """Kronrod values (panels, values), error estimates and masses
     (panels, items) of the panels [lo, hi], all evaluated in one call of
-    ``f``, and the shape of one value of f.  Raises ConvergenceError when a
+    ``f``, and the shape (items, ...) of one value of f.  Raises ConvergenceError when a
     panel's value or estimate is not finite, which no bisection repairs."""
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.ascontiguousarray(f(xs.ravel()), dtype=np.complex128)
     shape = vals.shape[1:]
-    items = shape[0] if stacked else 1
+    items = shape[0]
     vals = vals.reshape(lo.size, _NODES.size, -1)
     ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
     ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
@@ -148,8 +148,9 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray, stacked: bool):
 def _norms(x: np.ndarray) -> np.ndarray:
     """Frobenius norms of the rows of a complex (items, values) array,
     summed as ``np.linalg.norm`` sums one vector (the dot products of its
-    real and imaginary parts), so a stack of one sets the tolerance of the
-    unstacked integral bit for bit."""
+    real and imaginary parts): a sum in another order would move the last
+    bits of the tolerances, and with them the meshes and values of the
+    matrix logarithms."""
     re, im = x.real, x.imag
     sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
     return np.sqrt(sq[:, 0, 0])
@@ -161,33 +162,32 @@ def integrate_adaptive(
     rel_tol: float,
     max_panels: int,
     abs_tol: float = 0.0,
-    *,
-    stacked: bool = False,
 ):
     """Integrate a batched integrand over a union of intervals.
 
-    ``f`` maps an array of abscissae (m,) to stacked values (m, ...); the
-    interval endpoints themselves are never evaluated (the Kronrod nodes are
-    interior), so integrable endpoint behavior is tolerated.  With
-    ``stacked`` the values are (m, items, ...): a stack of integrals, each
-    held to the tolerance it would get alone,
-    max(rel_tol * |its value|, abs_tol, roundoff floor * its mass).
+    ``f`` maps an array of abscissae (m,) to values (m, items, ...): a stack
+    of integrals, each held to the tolerance it would get alone,
+    max(rel_tol * |its value|, abs_tol, roundoff floor * its mass); a lone
+    integral is a stack of one.  The interval endpoints themselves are never
+    evaluated (the Kronrod nodes are interior), so integrable endpoint
+    behavior is tolerated.
 
     Works in rounds: each round bisects the panels with the largest error
     estimates, relative to their items' tolerances, until the panels left
     unsplit carry at most half the tolerance of every item, never going
     past ``max_panels``, and evaluates all new panels in one call of ``f``.
 
-    Returns ``(value, PanelInfo)``, whose error is the largest estimate of
-    an item, or raises ConvergenceError when the panel budget is exhausted
-    or as soon as a panel's value or estimate is not finite.
+    Returns ``(value, PanelInfo)``, with value (items, ...) and error the
+    largest estimate of an item, or raises ConvergenceError when the panel
+    budget is exhausted (naming the worst item when there are several) or
+    as soon as a panel's value or estimate is not finite.
     """
     ends = np.array(sorted((float(a), float(b)) for a, b in segments if b > a), dtype=float)
     if ends.size == 0:
         raise ConvergenceError("no integration segments supplied")
     lo, hi = ends[:, 0], ends[:, 1]
     floor = max(abs_tol, np.finfo(float).tiny)
-    vals, errs, masses, shape = _panels(f, lo, hi, stacked)
+    vals, errs, masses, shape = _panels(f, lo, hi)
     while True:
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
@@ -195,10 +195,10 @@ def integrate_adaptive(
         np.maximum(tol, floor, out=tol)
         np.maximum(tol, _EPS_FLOOR * masses.sum(axis=0), out=tol)
         if (err <= tol).all():
-            return total.reshape(shape)[()], PanelInfo(lo.size, max(err.tolist(), default=0.0))
+            return total.reshape(shape), PanelInfo(lo.size, max(err.tolist(), default=0.0))
         if lo.size >= max_panels:
             worst = int(np.argmax(err / tol))
-            where = f" in item {worst} of {err.size}" if stacked else ""
+            where = f" in item {worst} of {err.size}" if err.size > 1 else ""
             raise ConvergenceError(
                 f"quadrature left a residual estimate {err[worst]:.3e}{where} after "
                 f"{lo.size} panels (rel_tol {rel_tol:g})"
@@ -215,7 +215,7 @@ def integrate_adaptive(
         mid = lo[split] + (hi[split] - lo[split]) * 0.5
         new_lo = np.concatenate([lo[split], mid])
         new_hi = np.concatenate([mid, hi[split]])
-        new = (new_lo, new_hi, *_panels(f, new_lo, new_hi, stacked)[:3])
+        new = (new_lo, new_hi, *_panels(f, new_lo, new_hi)[:3])
         old = (lo, hi, vals, errs, masses)
         merged = [np.concatenate([x[~split], y]) for x, y in zip(old, new)]
         order = np.argsort(merged[0], kind="stable")
@@ -228,10 +228,14 @@ def integrate_piecewise(f, breakpoints):
     (zero-length pieces skipped), so no panel straddles a breakpoint, as in
     QUADPACK's ``qagp``.  The tolerances are fixed: LAM_REL_TOL relative to
     the whole integral, LAM_ABS_TOL absolute, within LAM_MAX_PANELS panels.
-    Returns ``(value, PanelInfo)`` as ``integrate_adaptive`` does."""
+    ``f`` maps abscissae (m,) to the values (m, ...) of one integral, taken
+    as a stack of one.  Returns ``(value, PanelInfo)`` as
+    ``integrate_adaptive`` does, value of the shape of one value of f."""
     pts = np.sort(np.asarray(breakpoints, dtype=float))
     if pts.size < 2 or not pts[-1] > pts[0]:
         raise ConvergenceError("breakpoints span an empty interval")
-    return integrate_adaptive(
-        f, zip(pts[:-1], pts[1:]), LAM_REL_TOL, LAM_MAX_PANELS, abs_tol=LAM_ABS_TOL
+    val, info = integrate_adaptive(
+        lambda xs: f(xs)[:, None], zip(pts[:-1], pts[1:]), LAM_REL_TOL, LAM_MAX_PANELS,
+        abs_tol=LAM_ABS_TOL,
     )
+    return val[0], info

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, shift_projection
+from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, refuse_singular, shift_projection
 from .matkit import (
     _sorted_unique,
     as_matrix,
@@ -94,23 +94,16 @@ def _block_operators(fam, which, lams) -> ShiftProjection:
     block (phi_plus or phi_minus~) at every point of the 1-D array lams.
     Each projection, stacked (m, b, b), is the shift operator of the block
     there unless its matrix is flagged singular; callers move such a point
-    or refuse it (``_regular``)."""
+    or refuse it (``refuse_singular``)."""
     fam.check_off_spectrum(lams, which)
-    if which is SignBlock.PLUS:
-        return shift_projection(fam.evaluate_phi_plus(lams))
-    return shift_projection(fam.evaluate_phi_minus_tilde(lams))
+    return shift_projection(fam.evaluate_block(which, lams))
 
 
-def _regular(sp: ShiftProjection, lams) -> ShiftProjection:
-    """sp, after checking that no boundary matrix is flagged singular,
-    where the direct route has no value to give."""
-    if sp.singular.any():
-        lam = float(lams[sp.singular][0])
-        raise PreconditionError(
-            f"boundary matrix is singular at lambda={lam!r}; "
-            "the direct route is unavailable"
-        )
-    return sp
+def _both_blocks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
+    return (
+        _block_operators(fam, SignBlock.PLUS, lams),
+        _block_operators(fam, SignBlock.MINUS, lams),
+    )
 
 
 def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
@@ -118,7 +111,7 @@ def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray
     the orthogonal projection onto the negative eigenspace of the boundary
     matrix.  Raises PreconditionError where that matrix is singular."""
     lams = np.array([float(lam)])
-    return _regular(_block_operators(fam, which, lams), lams).projection[0]
+    return refuse_singular(_block_operators(fam, which, lams), lams).projection[0]
 
 
 def xi_at(fam: HerglotzFamily, lam):
@@ -128,11 +121,11 @@ def xi_at(fam: HerglotzFamily, lam):
     evaluated in batched chunks as in ``compute_profile``.  Raises
     PreconditionError at a point where a boundary matrix is singular."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    vals = np.concatenate([
-        _regular(_block_operators(fam, SignBlock.PLUS, lams[s]), lams[s]).rank
-        - _regular(_block_operators(fam, SignBlock.MINUS, lams[s]), lams[s]).rank
-        for s in _chunks(fam, lams.size)
-    ]).astype(float)
+    ranks = []
+    for s in _chunks(fam, lams.size):
+        plus, minus = (refuse_singular(sp, lams[s]) for sp in _both_blocks(fam, lams[s]))
+        ranks.append(plus.rank - minus.rank)
+    vals = np.concatenate(ranks).astype(float)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
@@ -281,7 +274,8 @@ def _det_phases(fam: HerglotzFamily, lams: np.ndarray) -> np.ndarray:
 # trace formula and trace identities
 
 def trace_formula_residual(fam: HerglotzFamily, z: complex) -> float:
-    """Residual of the resolvent trace formula at z.
+    """Relative residual of the resolvent trace formula at z:
+    |lhs - rhs| / (1 + |lhs|).
 
     The left side is the exact trace of the resolvent difference; the right
     side integrates the counting-route step function against (lam - z)^(-2)
@@ -299,7 +293,7 @@ def trace_formula_residual(fam: HerglotzFamily, z: complex) -> float:
     lhs = complex(np.sum(1.0 / (fam.eig_h.eigenvalues - z)) - np.sum(1.0 / (fam.eig0.eigenvalues - z)))
     knots, values = counting_steps(fam.eig0.eigenvalues, fam.eig_h.eigenvalues)
     integral = step_integral(knots, values, lambda t: -1.0 / (t - z))
-    return abs(lhs + integral)
+    return abs(lhs + integral) / (1.0 + abs(lhs))
 
 
 @dataclass(frozen=True)
@@ -387,13 +381,13 @@ def chain_and_monotonicity(h0, v1, v2, grid) -> ChainReport:
     if not pts.size:
         raise PreconditionError("no grid points clear the exclusion zones of all pairs")
 
-    tol_psd = 1e-12
-    v2_minus_v1_psd = float(np.min(np.linalg.eigvalsh(hermitian_part(v2 - v1)))) >= -tol_psd * max(
-        frobenius(v2 - v1), 1.0
-    )
-    v2_psd = float(np.min(np.linalg.eigvalsh(hermitian_part(v2)))) >= -tol_psd * max(
-        frobenius(v2), 1.0
-    )
+    def psd(m) -> bool:
+        return float(np.min(np.linalg.eigvalsh(hermitian_part(m)))) >= -1e-12 * max(
+            frobenius(m), 1.0
+        )
+
+    v2_minus_v1_psd = psd(v2 - v1)
+    v2_psd = psd(v2)
     vals = {}
     oracle = 0.0
     for name, f in zip(("sum", "v1", "v2", "step", "back"), fams):
@@ -516,51 +510,55 @@ def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
 # ----------------------------------------------------------------------
 # grids
 
-def _snap_point(x: float, eigs, excl: float, snap: float, center: float, accept=None) -> float:
-    """x itself when it is clear of the exclusion zones and ``accept`` (if
-    given) takes it; otherwise the first such point among
-    origin + d * snap * 2^k, k = 0, 1, ..., where origin is the nearest
-    eigenvalue when x lies in its zone and x otherwise, and d points toward
-    the hull center."""
-
-    def ok(c: float) -> bool:
-        return float(np.min(np.abs(eigs - c))) > excl and (accept is None or accept(c))
-
-    if ok(x):
-        return x
-    d = np.abs(eigs - x)
-    i = int(np.argmin(d))
-    origin = float(eigs[i]) if d[i] <= excl else x
-    direction = 1.0 if origin <= center else -1.0
-    step = snap
-    for _ in range(60):
-        cand = origin + direction * step
-        if ok(cand):
-            return cand
-        step *= 2.0
-    raise PreconditionError(f"could not snap grid point {x!r} to a safe spot")
-
-
 def _snapper(fam: HerglotzFamily, accept=None):
-    """``_snap_point`` with the exclusion zones, step and hull center of fam."""
-    eigs = np.sort(fam.all_spectra())
-    excl = fam.exclusion_width()
+    """A function of one point x: x itself when it is clear of the exclusion
+    zones of fam (``near_spectrum``) and ``accept`` (if given) takes it;
+    otherwise the first such point among origin + d * snap * 2^k,
+    k = 0, 1, ..., where snap is SNAP_RTOL times the spectral diameter,
+    origin is the nearest eigenvalue when x lies in its zone and x
+    otherwise, and d points toward the hull center."""
+    eigs = fam.all_spectra()
     snap = SNAP_RTOL * fam.spectral_diameter()
     center = 0.5 * (eigs[0] + eigs[-1])
-    return lambda x: _snap_point(float(x), eigs, excl, snap, center, accept)
+
+    def ok(c: float) -> bool:
+        return not fam.near_spectrum(c) and (accept is None or accept(c))
+
+    def snap_point(x) -> float:
+        x = float(x)
+        if ok(x):
+            return x
+        d = np.abs(eigs - x)
+        i = int(np.argmin(d))
+        origin = float(eigs[i]) if d[i] <= fam.exclusion_width() else x
+        direction = 1.0 if origin <= center else -1.0
+        step = snap
+        for _ in range(60):
+            cand = origin + direction * step
+            if ok(cand):
+                return cand
+            step *= 2.0
+        raise PreconditionError(f"could not snap grid point {x!r} to a safe spot")
+
+    return snap_point
 
 
 def snap_grid(fam: HerglotzFamily, pts) -> np.ndarray:
     """Move any grid point inside an exclusion zone to a safe spot nearby,
-    nudging toward the midpoint of the joint spectral hull."""
+    nudging toward the midpoint of the joint spectral hull.  One
+    ``near_spectrum`` call flags the points of the whole grid; only those
+    are moved, each by the search of ``_snapper``."""
+    pts = np.array(pts, dtype=float)
+    near = fam.near_spectrum(pts)
     snap = _snapper(fam)
-    return np.asarray([snap(x) for x in np.asarray(pts, dtype=float)])
+    pts[near] = [snap(x) for x in pts[near]]
+    return pts
 
 
 def _distinct_spectra(fam: HerglotzFamily) -> np.ndarray:
     """The sorted joint spectra, each value within 1e-12 of the spectral
     diameter of the one kept before it dropped."""
-    eigs = np.sort(fam.all_spectra())
+    eigs = fam.all_spectra()
     scale = fam.spectral_diameter()
     keep = [float(eigs[0])]
     for x in eigs[1:]:
@@ -626,13 +624,6 @@ class ShiftProfile:
         return np.ones(self.grid.size, dtype=bool)
 
 
-def _both_blocks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
-    return (
-        _block_operators(fam, SignBlock.PLUS, lams),
-        _block_operators(fam, SignBlock.MINUS, lams),
-    )
-
-
 def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> ShiftProfile:
     """Evaluate the shift data over a grid.
 
@@ -663,7 +654,7 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
             lams[moved] = [nudge(x) for x in lams[moved]]
             sps = _both_blocks(fam, lams)
         for sp, xcol, ecol in zip(sps, ("xp", "xm"), ("ep", "em")):
-            cols[xcol].append(_regular(sp, lams).rank)
+            cols[xcol].append(refuse_singular(sp, lams).rank)
             block = sp.projection.shape[-1]
             cols[ecol].extend((np.arange(block) < sp.rank[:, None]).astype(float))
         cols["oracle"].append(xi_counting_oracle(fam, lams))

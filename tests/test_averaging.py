@@ -238,6 +238,17 @@ class TestOperatorAverage:
         rep = operator_average_residual(np.zeros((3, 3)), np.zeros((3, 0)), TestFunction.polynomial([1.0]))
         assert rep.residual == 0.0
 
+    def test_coupling_that_moves_no_eigenvalue(self, monkeypatch):
+        # K K* = 1e-340 underflows to 0: H = H0, so the lam-integral has no
+        # piece to integrate and the right side is zero without quadrature
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate_piecewise called")
+
+        monkeypatch.setattr(averaging, "integrate_piecewise", refuse)
+        rep = operator_average_residual(np.zeros((1, 1)), np.array([[1e-170]]), TestFunction.polynomial([1.0]))
+        assert rep.residual == 0.0
+        assert np.array_equal(rep.rhs, np.zeros((1, 1)))
+
     def test_random_instances(self):
         rng = np.random.default_rng(79)
         for _ in range(3):

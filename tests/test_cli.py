@@ -43,6 +43,8 @@ def matrix_files(tmp_path):
     put("nonherm_huge", 1e200 * np.array([[1.0, 1.0], [0.0, 2.0]]))
     put("k_lower2", np.array([[1.0, 0.0], [0.5, 1.0]]))
     put("eye_huge", 1e308 * np.eye(2))
+    # finite entries, largest eigenvalue 1.9e308
+    put("v_eig_huge", 1e308 * np.array([[1.0, 0.9], [0.9, 1.0]]))
     return paths
 
 
@@ -241,6 +243,15 @@ class TestXiCommand:
         assert code == 1
         assert out == "" and err.startswith("error: H0 + V overflows") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_overflowing_eigenvalues_exit_1_on_one_line(self, matrix_files, capsys):
+        # V is finite, its largest eigenvalue is not: refused, not read as 0
+        code, out, err = run_cli(
+            capsys, "xi", "--h0", matrix_files["h0_diag2"], "--v", matrix_files["v_eig_huge"]
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: the Hermitian eigendecomposition has non-finite eigenvalues [inf]\n"
 
     @pytest.mark.parametrize(
         "flag, value, message",

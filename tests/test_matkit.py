@@ -318,6 +318,14 @@ class TestSignFactorization:
         assert f.n_minus == np.count_nonzero(w < -thresh)
         assert frobenius(f.reconstruct() - v) <= 1e-11 * frobenius(v)
 
+    def test_overflowing_eigenvalues_refused(self):
+        # finite entries whose largest eigenvalue (1.9e308) is past the
+        # double range: the threshold rank_tol * inf would drop every
+        # eigenpair and factor V as zero
+        v = 1e308 * np.array([[1.0, 0.9], [0.9, 1.0]])
+        with pytest.raises(PreconditionError, match=r"non-finite eigenvalues \[inf\]"):
+            sign_factorization(v)
+
     def test_rank_tol_validated(self):
         # a NaN tolerance would drop every eigenpair and factor V as zero
         for tol in (0.0, -1.0, float("nan")):

@@ -8,6 +8,9 @@ from kreinshift.quadrature import (
     _GAUSS_W,
     _KRONROD_W,
     _NODES,
+    LAM_ABS_TOL,
+    LAM_MAX_PANELS,
+    LAM_REL_TOL,
     PanelInfo,
     integrate_adaptive,
     integrate_piecewise,
@@ -22,6 +25,11 @@ def _matrix_integrand(xs):
     out[:, 1, 0] = np.exp(xs)
     out[:, 1, 1] = 1.0 / (1.0 + xs**2)
     return out
+
+
+def _one(f):
+    """f as a stack of one integral: values (m, ...) become (m, 1, ...)."""
+    return lambda xs: f(xs)[:, None]
 
 
 def _matrix_antiderivative(x):
@@ -54,23 +62,25 @@ class TestIntegrateAdaptive:
         coeffs = rng.standard_normal(degree + 1)
         a, b = -0.7, 1.9
         val, info = integrate_adaptive(
-            lambda xs: np.polyval(coeffs, xs), [(a, b)], rel_tol=1e-12, max_panels=64
+            _one(lambda xs: np.polyval(coeffs, xs)), [(a, b)], rel_tol=1e-12, max_panels=64
         )
         anti = np.polyint(coeffs)
         exact = np.polyval(anti, b) - np.polyval(anti, a)
         assert info.panels == 1
-        assert abs(val - exact) <= 16 * np.finfo(float).eps * max(1.0, abs(exact))
+        assert abs(val[0] - exact) <= 16 * np.finfo(float).eps * max(1.0, abs(exact))
 
     def test_matrix_valued_over_several_segments(self):
-        val, info = integrate_adaptive(_matrix_integrand, SEGMENTS, rel_tol=1e-12, max_panels=256)
+        val, info = integrate_adaptive(
+            _one(_matrix_integrand), SEGMENTS, rel_tol=1e-12, max_panels=256
+        )
         exact = sum(_matrix_antiderivative(b) - _matrix_antiderivative(a) for a, b in SEGMENTS)
-        assert val.shape == (2, 2)
-        assert np.max(np.abs(val - exact)) <= 1e-11 * np.max(np.abs(exact))
+        assert val.shape == (1, 2, 2)
+        assert np.max(np.abs(val[0] - exact)) <= 1e-11 * np.max(np.abs(exact))
         assert info.panels >= len(SEGMENTS) and info.error >= 0.0
 
     def test_bit_identical_for_any_segment_order(self):
         def oscillating(xs):
-            return np.stack([np.exp(8j * xs), xs**3 * np.sin(xs)], axis=1)
+            return np.stack([np.exp(8j * xs), xs**3 * np.sin(xs)], axis=1)[:, None]
 
         ref_val, ref_info = integrate_adaptive(oscillating, SEGMENTS, rel_tol=1e-12, max_panels=512)
         assert ref_info.panels > len(SEGMENTS)  # several rounds of bisection
@@ -88,7 +98,7 @@ class TestIntegrateAdaptive:
 
         def divergent(xs):
             calls.append(xs.size // 15)
-            return 1.0 / (xs - 0.3) ** 2
+            return (1.0 / (xs - 0.3) ** 2)[:, None]
 
         max_panels = 100
         with pytest.raises(ConvergenceError, match=f"after {max_panels} panels"):
@@ -109,7 +119,7 @@ class TestIntegrateAdaptive:
 
         def huge(xs):
             calls.append(xs.size)
-            return np.full(xs.size, 1e308)
+            return np.full((xs.size, 1), 1e308)
 
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConvergenceError, match="not finite"):
@@ -117,9 +127,11 @@ class TestIntegrateAdaptive:
         assert len(calls) == 1
 
     def test_scalar_integrand(self):
-        val, info = integrate_adaptive(np.cos, [(0.0, np.pi / 2)], rel_tol=1e-12, max_panels=64)
-        assert np.ndim(val) == 0
-        assert val == pytest.approx(1.0, abs=1e-14)
+        val, info = integrate_adaptive(
+            _one(np.cos), [(0.0, np.pi / 2)], rel_tol=1e-12, max_panels=64
+        )
+        assert val.shape == (1,)
+        assert val[0] == pytest.approx(1.0, abs=1e-14)
         assert isinstance(info, PanelInfo)
 
 
@@ -134,6 +146,23 @@ class TestIntegratePiecewise:
     def test_empty_interval_raises(self):
         with pytest.raises(ConvergenceError, match="empty interval"):
             integrate_piecewise(np.cos, [1.0, 1.0])
+
+    def test_equal_to_the_stack_of_one(self):
+        # integrate_piecewise is integrate_adaptive on the stack of one at
+        # its fixed tolerances, bit for bit
+        breakpoints = [2.0, -1.0, 0.5, 0.75]
+        val, info = integrate_piecewise(_matrix_integrand, breakpoints)
+        pts = sorted(breakpoints)
+        ref_val, ref_info = integrate_adaptive(
+            _one(_matrix_integrand),
+            zip(pts[:-1], pts[1:]),
+            LAM_REL_TOL,
+            LAM_MAX_PANELS,
+            abs_tol=LAM_ABS_TOL,
+        )
+        assert val.shape == (2, 2)
+        assert np.array_equal(val, ref_val[0])
+        assert info == ref_info
 
 
 def _mixed_stack():
@@ -160,49 +189,42 @@ class TestStackedIntegrals:
         segments = [(-1.0, 0.5), (0.5, 2.0)]
         want = exact(-1.0, 2.0)
         rel_tol = 1e-12
-        val, info = integrate_adaptive(f, segments, rel_tol=rel_tol, max_panels=512, stacked=True)
+        val, info = integrate_adaptive(f, segments, rel_tol=rel_tol, max_panels=512)
         assert val.shape == (3,)
         assert np.all(np.abs(val - want) <= rel_tol * np.abs(want))
         assert info.panels > len(segments)
         # one tolerance for the whole vector, set by the large item, leaves
         # the small peak unresolved
-        joint, _ = integrate_adaptive(f, segments, rel_tol=rel_tol, max_panels=512)
-        assert abs(joint[1] - want[1]) > 1e3 * rel_tol * abs(want[1])
+        joint, _ = integrate_adaptive(_one(f), segments, rel_tol=rel_tol, max_panels=512)
+        assert abs(joint[0, 1] - want[1]) > 1e3 * rel_tol * abs(want[1])
 
-    def test_stack_of_one_is_bit_identical_to_the_lone_call(self):
-        for rel_tol in (1e-6, 1e-10, 1e-13):
-            lone_val, lone_info = integrate_adaptive(
-                _matrix_integrand, SEGMENTS, rel_tol=rel_tol, max_panels=256
-            )
-            val, info = integrate_adaptive(
-                lambda xs: _matrix_integrand(xs)[:, None],
-                SEGMENTS,
-                rel_tol=rel_tol,
-                max_panels=256,
-                stacked=True,
-            )
-            assert val.shape == (1, 2, 2)
-            assert np.array_equal(val[0], lone_val)
-            assert info == lone_info
+    def test_one_item_budget_failure_names_no_item(self):
+        def f(xs):
+            return (1.0 / (xs - 0.3) ** 2)[:, None]
+
+        with pytest.raises(ConvergenceError) as exc:
+            integrate_adaptive(f, [(0.0, 1.0)], rel_tol=1e-10, max_panels=100)
+        assert "item" not in str(exc.value)
+        assert "estimate" in str(exc.value) and "after 100 panels" in str(exc.value)
 
     def test_one_divergent_item_exhausts_the_budget(self):
         def f(xs):
             return np.stack([np.cos(xs), 1.0 / (xs - 0.3) ** 2], axis=1)
 
         with pytest.raises(ConvergenceError, match="in item 1 of 2 after 100 panels"):
-            integrate_adaptive(f, [(0.0, 1.0)], rel_tol=1e-10, max_panels=100, stacked=True)
+            integrate_adaptive(f, [(0.0, 1.0)], rel_tol=1e-10, max_panels=100)
 
     def test_bit_identical_for_any_segment_order(self):
         def f(xs):
             return np.stack([np.exp(8j * xs), 1e-6 * xs**3 * np.sin(xs), 1e6 / (1.0 + xs**2)], axis=1)
 
-        ref_val, ref_info = integrate_adaptive(f, SEGMENTS, rel_tol=1e-12, max_panels=512, stacked=True)
+        ref_val, ref_info = integrate_adaptive(f, SEGMENTS, rel_tol=1e-12, max_panels=512)
         assert ref_info.panels > len(SEGMENTS)
         rng = np.random.default_rng(1)
         for _ in range(5):
             order = rng.permutation(len(SEGMENTS))
             val, info = integrate_adaptive(
-                f, [SEGMENTS[i] for i in order], rel_tol=1e-12, max_panels=512, stacked=True
+                f, [SEGMENTS[i] for i in order], rel_tol=1e-12, max_panels=512
             )
             assert np.array_equal(val, ref_val)
             assert info == ref_info

@@ -275,7 +275,13 @@ class TestTraceFormula:
                 np.sum(1.0 / (random_family.eig_h.eigenvalues - z))
                 - np.sum(1.0 / (random_family.eig0.eigenvalues - z))
             )
-            assert trace_formula_residual(random_family, z) < 1e-8 * (1.0 + abs(lhs))
+            knots, values = counting_steps(
+                random_family.eig0.eigenvalues, random_family.eig_h.eigenvalues
+            )
+            rhs = -step_integral(knots, values, lambda t: -1.0 / (t - z))
+            # the residual is relative: |lhs - rhs| / (1 + |lhs|)
+            assert trace_formula_residual(random_family, z) == abs(lhs - rhs) / (1.0 + abs(lhs))
+            assert trace_formula_residual(random_family, z) < 1e-8
 
     def test_near_spectrum_rejected(self, random_family):
         lam0 = float(random_family.eig0.eigenvalues[0])
@@ -327,6 +333,13 @@ class TestChain:
         # both monotonicity comparisons apply: V2 - V1 = 0 and V2 >= 0
         assert rep.monotonicity_violation_totals <= 1e-8
         assert rep.monotonicity_violation_added <= 1e-8
+
+    def test_grid_inside_the_zones_refused(self):
+        # both points are eigenvalues of H0, so no pair leaves them clear
+        with pytest.raises(PreconditionError, match="no grid points clear"):
+            chain_and_monotonicity(
+                np.diag([0.0, 1.0]), np.diag([0.5, 0.0]), np.eye(2), [0.0, 1.0]
+            )
 
     def test_random_indefinite(self):
         rng = np.random.default_rng(60)
@@ -387,6 +400,13 @@ class TestReconstruction:
         fam = HerglotzFamily.from_potential(h0, v)
         assert herglotz_reconstruction_residual(fam, 1.0 + 2.0j) < 1e-4
 
+    def test_empty_plus_block(self):
+        # a negative V leaves the + block 0x0: log(phi_plus) and the
+        # integral of its shift operator are both empty
+        fam = HerglotzFamily.from_potential(np.diag([0.0, 1.0]), -np.diag([1.0, 0.5]))
+        assert fam.n_plus == 0
+        assert herglotz_reconstruction_residual(fam, 1.0 + 2.0j) == 0.0
+
 
 class TestGrids:
     def test_snap_matches_worked_profile(self):
@@ -397,6 +417,16 @@ class TestGrids:
         assert 1.0 - 1e-5 < snapped[3] < 1.0
         for x in snapped:
             fam.check_off_spectrum(float(x))
+
+    def test_nan_point_is_never_clear(self):
+        # no snap moves a NaN point clear of the zones, and no shift value
+        # is read there
+        fam = rank_one_family(1.0)
+        assert fam.near_spectrum([np.nan, 0.5]).tolist() == [True, False]
+        with pytest.raises(PreconditionError, match="could not snap grid point nan"):
+            snap_grid(fam, [0.5, np.nan])
+        with pytest.raises(PreconditionError, match="lambda=nan"):
+            xi_at(fam, np.nan)
 
     def test_safe_grid_size_and_safety(self, random_family):
         grid = safe_grid(random_family, 50)
