@@ -254,11 +254,8 @@ def _endpoint_terms(h0, k, s1: float, s2: float) -> list:
     for s, end in ((s2, 1.0), (s1, -1.0)):
         if s == 0.0:
             continue
-        n_plus = r if s > 0 else 0
         sign = math.copysign(1.0, s)
-        fam = HerglotzFamily(
-            h0, SignedFactorization(math.sqrt(abs(s)) * k, np.full(r, sign), n_plus, r - n_plus)
-        )
+        fam = HerglotzFamily(h0, SignedFactorization(math.sqrt(abs(s)) * k, r if s > 0 else 0))
         which = SignBlock.PLUS if s > 0 else SignBlock.MINUS
         terms.append((fam, which, end * sign))
     return terms

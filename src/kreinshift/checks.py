@@ -6,6 +6,7 @@ it draws a fixed number of instances from a generator seeded by the seed
 plus a fixed offset, measures a residual, and compares it against the
 pinned bound.  Reports are plain text with fixed float formatting, so a
 given (suite, seed) pair produces byte-identical output on every run.
+Seeds are non-negative integers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .averaging import (
     operator_average_residual,
     operator_increment_residual,
 )
+from .errors import PreconditionError
 from .generators import (
     random_dissipative,
     random_hermitian,
@@ -552,7 +554,11 @@ SUITE_NAMES = tuple(SUITES)
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """The report of suite ``name``; raises KeyError for an unknown name."""
+    """The report of suite ``name``; raises KeyError for an unknown name
+    and PreconditionError for a negative seed, which the generators of the
+    checks (seeded by the seed plus an offset) cannot all take."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     return SuiteReport(name, seed, [line for check in SUITES[name] for line in check(seed)])
 
 

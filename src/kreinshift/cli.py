@@ -9,10 +9,13 @@ Commands:
 
 Exit codes: 0 success, 1 mathematical check or convergence failure (an
 ``average`` or ``op-average`` result that overflows double precision
-included, and an ``xi`` pair whose H0 + V or whose eigenvalues overflow,
-for example V = 1e308 * [[1, 0.9], [0.9, 1]]), 2 usage or parse error: a
-malformed or unknown flag, grid, s-range or test function (a non-finite
-bound or parameter included), an unreadable or non-Hermitian matrix file
+included, a ``logm`` argument past the range of the quadrature logarithm
+or whose round-trip residual is not finite, and an ``xi`` pair whose
+H0 + V or whose eigenvalues overflow, for example
+V = 1e308 * [[1, 0.9], [0.9, 1]]), 2 usage or parse error: a malformed or
+unknown flag, grid, s-range, test function (a non-finite bound or
+parameter included) or ``check`` seed (a negative one included), an
+unreadable or non-Hermitian matrix file
 or one with non-numeric (e.g. boolean) entries or dim, a tolerance that
 is not finite and positive, or an output file that cannot be opened.
 Each command takes only the flags it reads:
@@ -121,12 +124,17 @@ def _load_hermitian(path, what: str) -> np.ndarray:
     return hermitian_part(m)
 
 
-def _write_finite_row(stream, header, row) -> None:
-    """Write a one-row CSV, refused when arithmetic on finite input left a
-    value that is not finite."""
-    bad = [f"{name} {format_float(x)}" for name, x in zip(header, row) if not math.isfinite(x)]
+def _require_finite(names, values) -> None:
+    """Refuse the named values when arithmetic on finite input left one
+    that is not finite."""
+    bad = [f"{name} {format_float(x)}" for name, x in zip(names, values) if not math.isfinite(x)]
     if bad:
         raise KreinShiftError("result is not finite in double precision: " + ", ".join(bad))
+
+
+def _write_finite_row(stream, header, row) -> None:
+    """Write a one-row CSV, refused when a value is not finite."""
+    _require_finite(header, row)
     write_csv(stream, header, [[format_float(x) for x in row]])
 
 
@@ -258,7 +266,9 @@ def _cmd_logm(args, stream) -> int:
         result = logm_antidissipative(t, args.rel_tol)
     else:
         result = logm_dissipative(t, args.rel_tol)
-    residual = frobenius(expm(result) - t) / max(frobenius(t), 1e-300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = frobenius(expm(result) - t) / max(frobenius(t), 1e-300)
+    _require_finite(["expm-roundtrip-relative-residual"], [residual])
     header = ["row", "col", "re", "im"]
     rows = [
         [str(i), str(j), format_float(result[i, j].real), format_float(result[i, j].imag)]
@@ -337,6 +347,17 @@ def _suite_name(name: str) -> str:
     return name
 
 
+def _seed(text: str) -> int:
+    """The --seed argument of ``check``: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -378,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run seeded verification suites")
     p.add_argument("suite", type=_suite_name, help="a suite name, or all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None, help="a non-negative integer")
     _add_out(p)
     p.set_defaults(func=_cmd_check)
 

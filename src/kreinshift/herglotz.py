@@ -156,8 +156,7 @@ class HerglotzFamily:
                 f"perturbation is not positive semidefinite (min eigenvalue {w[0]:.3e})"
             )
         root = hermitian_part((u * np.sqrt(np.maximum(w, 0.0))) @ u.conj().T)
-        fact = SignedFactorization(k=root, j_signs=np.ones(e.dim), n_plus=e.dim, n_minus=0)
-        return cls(h0, fact)
+        return cls(h0, SignedFactorization(k=root, n_plus=e.dim))
 
     # ------------------------------------------------------------------
     @property
@@ -189,25 +188,28 @@ class HerglotzFamily:
     def near_spectrum(self, lam, which: SignBlock | None = None) -> np.ndarray:
         """Whether each point of lam is not clear of the exclusion zones of
         the spectra that the requested boundary value depends on (all three
-        when ``which`` is None); a NaN point is never clear."""
+        when ``which`` is None); a point that is not finite is never clear."""
         if which is SignBlock.PLUS:
             eigs = self.eig0.eigenvalues
         elif which is SignBlock.MINUS:
             eigs = np.concatenate([self.eig0.eigenvalues, self.eig_plus.eigenvalues])
         else:
             eigs = self._spectra
-        lam = np.asarray(lam, dtype=float)[..., None]
-        return ~np.all(np.abs(eigs - lam) > self.exclusion_width(), axis=-1)
+        lam = np.asarray(lam, dtype=float)
+        clear = np.all(np.abs(eigs - lam[..., None]) > self.exclusion_width(), axis=-1)
+        return ~(clear & np.isfinite(lam))
 
     def check_off_spectrum(self, lam, which: SignBlock | None = None) -> None:
-        """Raise if lam (a point or an array of points) sits inside an
-        exclusion zone; see ``near_spectrum``."""
+        """Raise if lam (a point or an array of points) is not finite or
+        sits inside an exclusion zone; see ``near_spectrum``."""
         near = self.near_spectrum(lam, which)
         if near.any():
-            raise PreconditionError(
-                f"lambda={float(np.asarray(lam, dtype=float)[near][0])!r} lies within "
-                f"the exclusion zone ({self.exclusion_width():.3e}) of an eigenvalue"
+            x = float(np.asarray(lam, dtype=float)[near][0])
+            where = (
+                f"lies within the exclusion zone ({self.exclusion_width():.3e}) of an eigenvalue"
+                if math.isfinite(x) else "is not finite"
             )
+            raise PreconditionError(f"lambda={x!r} {where}")
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -135,6 +135,14 @@ def _as_stack(a) -> tuple[np.ndarray, bool]:
     return m, False
 
 
+def _batches(count: int, item_size: int, budget: int, least: int = 1) -> list:
+    """Slices of a stack of ``count`` items: as many items a slice as keep a
+    batched temporary of ``item_size`` per item within ``budget``, but never
+    fewer than ``least``.  An empty stack gives one empty slice."""
+    size = max(least, budget // item_size)
+    return [slice(i, i + size) for i in range(0, max(count, 1), size)]
+
+
 def _asymmetry(m: np.ndarray, rtol: float) -> tuple:
     """For a finite matrix, or per matrix of a stack (k, n, n): whether
     ||A - A*||_F exceeds rtol * ||A||_F, and those two sides.
@@ -301,24 +309,35 @@ def expm(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignedFactorization:
-    """Factorization V = K diag(j_signs) K* with the +1 block leading.
+    """Factorization V = K J K* with the +1 block leading.
 
-    ``k`` has one column per retained eigenpair (dim x r); ``j_signs`` holds
-    the matching signs, all +1 entries first.
+    ``k`` has one column per retained eigenpair (dim x r); the first
+    ``n_plus`` columns carry the sign +1 and the rest -1, so J =
+    diag(``j_signs``) and ``n_minus`` follow from the two fields.
     """
 
     k: np.ndarray
-    j_signs: np.ndarray
     n_plus: int
-    n_minus: int
+
+    def __post_init__(self):
+        if not 0 <= self.n_plus <= self.rank:
+            raise PreconditionError(f"n_plus = {self.n_plus} is outside [0, {self.rank}]")
 
     @property
     def rank(self) -> int:
-        return self.n_plus + self.n_minus
+        return self.k.shape[1]
+
+    @property
+    def n_minus(self) -> int:
+        return self.rank - self.n_plus
 
     @property
     def dim(self) -> int:
         return self.k.shape[0]
+
+    @property
+    def j_signs(self) -> np.ndarray:
+        return np.repeat([1.0, -1.0], [self.n_plus, self.n_minus])
 
     def j_matrix(self) -> np.ndarray:
         return np.diag(self.j_signs.astype(np.complex128))
@@ -346,5 +365,4 @@ def sign_factorization(v, rank_tol: float = 1e-12) -> SignedFactorization:
     cols = [e.vectors[:, i] * np.sqrt(abs(w[i])) for i in pos + neg]
     n = e.dim
     k = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=np.complex128)
-    signs = np.array([1.0] * len(pos) + [-1.0] * len(neg))
-    return SignedFactorization(k=k, j_signs=signs, n_plus=len(pos), n_minus=len(neg))
+    return SignedFactorization(k=k, n_plus=len(pos))

@@ -25,7 +25,10 @@ log2(L/delta) + 2 panels (log2(8 cond(T)) + 2 when smin(T) <= 1 <= 4||T||),
 on which nearly every logarithm converges in one round.  Each further round bisects panels at their midpoints, within a
 budget of MAX_PANELS = 1024 panels.  The relative tolerance,
 DEFAULT_REL_TOL = 1e-11 unless the caller passes ``rel_tol``, is the one
-setting of the quadrature.
+setting of the quadrature.  The ratio 2 max(1, 4||T||) / min(smin(T), 1)
+of the ends of the mesh must be a double: a matrix past that range
+(||T|| above about 2.2e307, or smin(T) below about 1.1e-308) is refused
+with PreconditionError.
 
 Both logarithms also take a stack of matrices (m, n, n) and return the
 stack of their logarithms from one integral: one batched SVD and one
@@ -56,6 +59,7 @@ import numpy as np
 from .errors import PreconditionError
 from .matkit import (
     _as_stack,
+    _batches,
     as_matrix,
     check_tolerance,
     det,
@@ -164,10 +168,8 @@ def _logm(stack: np.ndarray, rel_tol: float, sign: int, single: bool) -> np.ndar
             f"{what} is singular within working precision: condition estimate "
             f"{cond[i]:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
         )
-    per = max(1, STACK_ENTRIES // (n * n))
-    pieces = [
-        _half_line(stack[i : i + per], svals[i : i + per], rel_tol) for i in range(0, count, per)
-    ]
+    batches = _batches(count, n * n, STACK_ENTRIES)
+    pieces = [_half_line(stack[s], svals[s], rel_tol) for s in batches]
     return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
 
 
@@ -175,14 +177,23 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
     """The half-line integral for a checked stack with singular values
     ``svals`` (descending per item)."""
     count, n = stack.shape[:2]
-    lam_max = max(1.0, 4.0 * float(svals[:, 0].max()))
-    # mu = scale * y; the power of two is exact and puts the fold within a
-    # factor sqrt(2) of 1, so the tail panel keeps its digits
-    scale = math.ldexp(1.0, round(math.log2(lam_max)))
-    fold = lam_max / scale
-    # every pole, mu = i*lambda for an eigenvalue of T or mu = i of the
-    # reference term, has |mu| >= min(smin(T), 1): twice the head's length
-    delta = 0.5 * min(float(svals[:, -1].min()), 1.0) / scale
+    smax, smin = float(svals[:, 0].max()), float(svals[:, -1].min())
+    lam_max = max(1.0, 4.0 * smax)
+    try:
+        # mu = scale * y; the power of two is exact and puts the fold within
+        # a factor sqrt(2) of 1, so the tail panel keeps its digits
+        scale = math.ldexp(1.0, round(math.log2(lam_max)))
+        fold = lam_max / scale
+        # every pole, mu = i*lambda for an eigenvalue of T or mu = i of the
+        # reference term, has |mu| >= min(smin(T), 1): twice the head's length
+        delta = 0.5 * min(smin, 1.0) / scale
+        cells = math.ceil(math.log2(fold / delta))
+    except (OverflowError, ZeroDivisionError):
+        raise PreconditionError(
+            f"the mesh of the quadrature logarithm is past the double range at "
+            f"||T|| = {smax:.3e} and smin(T) = {smin:.3e}: the ratio "
+            "2 max(1, 4||T||) / min(smin(T), 1) of its ends overflows"
+        ) from None
     x_fold = delta + math.log(fold / delta)
     residue = np.eye(n, dtype=np.complex128) - stack  # the difference of resolvents
     # equals (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free for T ~ I
@@ -191,7 +202,8 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
         # head x <= delta: y = x; middle: y = delta * e^(x - delta), Jacobian
         # y; tail x > x_fold: mu = scale / (x - x_fold)
         head, tail = xs <= delta, xs > x_fold
-        y = np.where(head, xs, delta * np.exp(xs - delta))
+        # the tail reads x_fold, so no exponential of it overflows
+        y = np.where(head, xs, delta * np.exp(np.minimum(xs, x_fold) - delta))
         a = np.where(tail, xs - x_fold, 1.0)
         b = 1j * scale * np.where(tail, 1.0, y)
         shifted = np.multiply(
@@ -205,7 +217,7 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
     # [0, delta], panels of width ln 2 in x (dyadic in mu) up to the fold,
     # then the folded tail; in x every pole of the middle part lies at least
     # pi/2 from the real axis
-    steps = delta + math.log(2.0) * np.arange(math.ceil(math.log2(fold / delta)))
+    steps = delta + math.log(2.0) * np.arange(cells)
     edges = [0.0, *steps[steps < x_fold].tolist(), x_fold, x_fold + 1.0 / fold]
     val, _ = integrate_adaptive(integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS)
     return -1j * val

@@ -145,17 +145,6 @@ def _panels(f, lo: np.ndarray, hi: np.ndarray):
     return ik, errs, mass, shape
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """Frobenius norms of the rows of a complex (items, values) array,
-    summed as ``np.linalg.norm`` sums one vector (the dot products of its
-    real and imaginary parts): a sum in another order would move the last
-    bits of the tolerances, and with them the meshes and values of the
-    matrix logarithms."""
-    re, im = x.real, x.imag
-    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    return np.sqrt(sq[:, 0, 0])
-
-
 def integrate_adaptive(
     f,
     segments,
@@ -191,7 +180,7 @@ def integrate_adaptive(
     while True:
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
-        tol = rel_tol * _norms(total.reshape(err.size, -1))
+        tol = rel_tol * np.linalg.norm(total.reshape(err.size, -1), axis=1)
         np.maximum(tol, floor, out=tol)
         np.maximum(tol, _EPS_FLOOR * masses.sum(axis=0), out=tol)
         if (err <= tol).all():
@@ -204,10 +193,9 @@ def integrate_adaptive(
                 f"{lo.size} panels (rel_tol {rel_tol:g})"
             )
         # rank the panels by their worst estimate relative to its item's
-        # tolerance (one item: by the estimate itself, the same order) and
-        # split the fewest that leave at most tol/2 unsplit in every item
-        key = errs[:, 0] if err.size == 1 else (errs / tol).max(axis=1)
-        worst = np.argsort(-key, kind="stable")
+        # tolerance and split the fewest that leave at most tol/2 unsplit in
+        # every item
+        worst = np.argsort(-(errs / tol).max(axis=1), kind="stable")
         unsplit = err - np.cumsum(errs[worst], axis=0)
         count = min(int((unsplit > 0.5 * tol).sum(axis=0).max()) + 1, max_panels - lo.size)
         split = np.zeros(lo.size, dtype=bool)

@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, PreconditionError
 from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, refuse_singular, shift_projection
 from .matkit import (
+    _batches,
     _sorted_unique,
     as_matrix,
     eig_hermitian,
@@ -77,16 +78,22 @@ IDENTITY_REL_TOL = 1e-13
 GRID_MARGIN = 0.05
 
 
+def _require_finite(name: str, points) -> None:
+    """Refuse a point, or an array of points, that is not finite."""
+    points = np.asarray(points)
+    bad = ~np.isfinite(points)
+    if bad.any():
+        raise PreconditionError(f"{name}={points[bad].ravel()[0].item()!r} is not finite")
+
+
 # ----------------------------------------------------------------------
 # operator route
 
 
 def _chunks(fam: HerglotzFamily, count: int) -> list:
-    """Slices of ``count`` points whose stacked temporaries stay under
-    PROFILE_CHUNK_BYTES."""
-    per_point = 16 * fam.dim * max(fam.n_plus, fam.n_minus, 1)
-    size = max(1, PROFILE_CHUNK_BYTES // per_point)
-    return [slice(i, i + size) for i in range(0, max(count, 1), size)]
+    """Slices of ``count`` points whose stacked (points, dim, block)
+    temporaries stay under PROFILE_CHUNK_BYTES."""
+    return _batches(count, 16 * fam.dim * max(fam.n_plus, fam.n_minus, 1), PROFILE_CHUNK_BYTES)
 
 
 def _block_operators(fam, which, lams) -> ShiftProjection:
@@ -135,8 +142,11 @@ def xi_at(fam: HerglotzFamily, lam):
 def xi_counting_oracle(fam: HerglotzFamily, lam):
     """Exact integer shift: eigenvalues of H0 up to lam minus eigenvalues of
     H up to lam.  The brute-force ground truth for everything else.  A
-    scalar lam gives an int; an array of points gives an integer array."""
+    scalar lam gives an int; an array of points gives an integer array.
+    A point that is not finite, or that lies within 1e-12 of the spectral
+    diameter of an eigenvalue, is refused."""
     lams = np.asarray(lam, dtype=float)
+    _require_finite("lambda", lams)
     e0, eh = fam.eig0.eigenvalues, fam.eig_h.eigenvalues
     dist = np.abs(np.concatenate([e0, eh]) - lams[..., None])
     near = np.any(dist <= 1e-12 * fam.spectral_diameter(), axis=-1)
@@ -174,21 +184,15 @@ def step_integral(knots: np.ndarray, values: np.ndarray, antiderivative) -> comp
 # ----------------------------------------------------------------------
 # determinant route
 
-def _det_chunk(fam: HerglotzFamily) -> int:
-    """Heights per batched determinant: as many as keep the stacked
-    (heights, dim, rank) resolvent temporary under PROFILE_CHUNK_BYTES, but
-    never fewer than DET_CHUNK_MIN."""
-    return max(DET_CHUNK_MIN, PROFILE_CHUNK_BYTES // (16 * fam.dim * fam.rank))
-
-
 def _path_dets(fam: HerglotzFamily, lams: np.ndarray, heights: np.ndarray) -> np.ndarray:
-    """(-1)^n_minus det(phi(lams + i*heights)), pairwise, in chunks of
-    ``_det_chunk`` heights; raises where one vanishes."""
+    """(-1)^n_minus det(phi(lams + i*heights)), pairwise, in chunks whose
+    stacked (heights, dim, rank) resolvent temporaries stay under
+    PROFILE_CHUNK_BYTES, of at least DET_CHUNK_MIN heights; raises where one
+    vanishes."""
     sign = (-1.0) ** fam.n_minus
-    size = _det_chunk(fam)
+    chunks = _batches(heights.size, 16 * fam.dim * fam.rank, PROFILE_CHUNK_BYTES, DET_CHUNK_MIN)
     d = np.concatenate([
-        sign * np.linalg.det(fam.evaluate_phi(lams[i : i + size] + 1j * heights[i : i + size]))
-        for i in range(0, heights.size, size)
+        sign * np.linalg.det(fam.evaluate_phi(lams[s] + 1j * heights[s])) for s in chunks
     ])
     if np.any(d == 0):
         lam = float(lams[np.flatnonzero(d == 0)[0]])
@@ -215,7 +219,7 @@ def xi_via_det(fam: HerglotzFamily, lam):
     values, of its shape.  Each point keeps its own ladder (down to its own floor), its
     own bisections and its own phase sum, but the ladders of all points, and
     then each round of bisections over all points, are one stack of
-    determinants, taken in chunks of ``_det_chunk`` heights.  A point still
+    determinants, taken in chunks (``_path_dets``).  A point still
     bisecting after DET_MAX_REFINEMENTS bisections raises ConvergenceError.
     """
     lams = np.asarray(lam, dtype=float).ravel()
@@ -280,9 +284,10 @@ def trace_formula_residual(fam: HerglotzFamily, z: complex) -> float:
     The left side is the exact trace of the resolvent difference; the right
     side integrates the counting-route step function against (lam - z)^(-2)
     with the exact antiderivative per step.  Both sides are independent of
-    the operator route.
+    the operator route.  A z that is not finite is refused.
     """
     z = complex(z)
+    _require_finite("z", z)
     scale = fam.spectral_diameter()
     for eigs in (fam.eig0.eigenvalues, fam.eig_h.eigenvalues):
         dist = float(np.min(np.abs(eigs - z))) if eigs.size else np.inf
@@ -308,7 +313,8 @@ class TraceIdentityReport:
 def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentityReport:
     """tr V against the exact step integral of the shift function, the L1
     bound against the trace norm of V, and finite-difference residuals of
-    the derivative identities for the traced block logarithms."""
+    the derivative identities for the traced block logarithms.  A z that is
+    not finite is refused."""
     knots, values = counting_steps(fam.eig0.eigenvalues, fam.eig_h.eigenvalues)
     integral = step_integral(knots, values, lambda t: t).real
     tr_v = trace(fam.v).real
@@ -318,6 +324,7 @@ def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentit
     # the central differences of every z: the logarithms of each block at
     # all 2 * len(zs) points as one stack
     zs = np.asarray(zs, dtype=np.complex128).ravel()
+    _require_finite("z", zs)
     hs = 1e-5 * (1.0 + np.abs(zs))
     ws = np.concatenate([zs + hs, zs - hs])
 
@@ -484,8 +491,10 @@ def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
 
 def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
     """Frobenius distance between log(phi_plus(z)) and the integral of the
-    + shift operator against (lam - z)^(-1) over the support hull."""
+    + shift operator against (lam - z)^(-1) over the support hull.  A z
+    that is not finite is refused."""
     z = complex(z)
+    _require_finite("z", z)
     if z.imag == 0:
         raise PreconditionError("z must be off the real axis")
     target = logm_dissipative(fam.evaluate_phi_plus(z))

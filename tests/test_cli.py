@@ -12,7 +12,7 @@ import kreinshift
 from kreinshift import checks, cli
 from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
 from kreinshift.cli import main
-from kreinshift.errors import KreinShiftError
+from kreinshift.errors import KreinShiftError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite
 from kreinshift.io import format_float, read_matrix, write_matrix
 
@@ -69,7 +69,7 @@ class TestMatrixFiles:
         assert np.array_equal(back.view(np.float64), tricky.view(np.float64))
 
     def test_parse_failures(self, tmp_path):
-        from kreinshift.errors import ParseError, PreconditionError
+        from kreinshift.errors import ParseError
 
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
@@ -395,6 +395,37 @@ class TestLogmCommand:
         code, out, _ = run_cli(capsys, "logm", "--t", matrix_files["t_2i"], "--branch", "ln")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "z, n, message",
+        [
+            (1e308j, 2, "past the double range"),
+            (3e307j, 2, "past the double range"),
+            (1e-310j, 1, "past the double range"),
+            (5e-324j, 1, "past the double range"),
+            (2e307j, 2, "expm-roundtrip-relative-residual nan"),
+        ],
+    )
+    def test_range_ends_exit_1_on_one_line(self, tmp_path, capsys, z, n, message):
+        p = tmp_path / "t.json"
+        write_matrix(p, z * np.eye(n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "logm", "--t", str(p))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_non_finite_ln_residual_exit_1_on_one_line(self, tmp_path, capsys):
+        p = tmp_path / "t.json"
+        write_matrix(p, 1e308j * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "logm", "--t", str(p), "--branch", "ln")
+        assert code == 1 and out == ""
+        assert err == (
+            "error: result is not finite in double precision: "
+            "expm-roundtrip-relative-residual nan\n"
+        )
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan"])
     def test_non_positive_tolerance_exit_2(self, matrix_files, capsys, value):
         code, out, err = run_cli(capsys, "logm", "--t", matrix_files["t_2i"], f"--rel-tol={value}")
@@ -589,6 +620,14 @@ class TestCheckCommand:
         assert code == 2
         with pytest.raises(KeyError):
             run_suite("nonsense")
+
+    @pytest.mark.parametrize("argv", [["all", "--seed", "-102"], ["example39", "--seed=-200"]])
+    def test_negative_seed_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert "seed must be a non-negative integer" in err
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            run_suite("example39", -1)
 
     def test_all_is_each_suite_in_order(self, capsys):
         blocks = []

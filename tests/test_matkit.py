@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,11 @@ import pytest
 
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_unitary
+from kreinshift.herglotz import HerglotzFamily
 from kreinshift.matkit import (
     HERMITIAN_RTOL,
+    SignedFactorization,
+    _batches,
     _sorted_unique,
     apply_spectral_function,
     as_matrix,
@@ -285,6 +289,47 @@ class TestExpm:
     def test_nilpotent(self):
         n = np.array([[0.0, 1.0], [0.0, 0.0]])
         assert np.allclose(expm(n), np.eye(2) + n)
+
+
+class TestBatches:
+    def test_empty_stack_is_one_empty_slice(self):
+        batches = _batches(0, 16, 1 << 10)
+        assert batches == [slice(0, 64)]
+        assert np.zeros((0, 3))[batches[0]].shape == (0, 3)
+
+    def test_budget_sets_the_size(self):
+        batches = _batches(10, 16, 48)
+        assert [s.stop - s.start for s in batches] == [3] * 4
+        assert np.array_equal(np.concatenate([np.arange(10)[s] for s in batches]), np.arange(10))
+
+    def test_floor(self):
+        # an item past the budget still gives slices of ``least`` items
+        assert _batches(10, 100, 1, 4) == [slice(0, 4), slice(4, 8), slice(8, 12)]
+        assert _batches(10, 100, 1) == [slice(i, i + 1) for i in range(10)]
+
+
+class TestSignedFactorization:
+    def test_two_fields_the_rest_derived(self):
+        assert [f.name for f in dataclasses.fields(SignedFactorization)] == ["k", "n_plus"]
+        f = SignedFactorization(np.eye(4, 3, dtype=complex), 2)
+        assert (f.rank, f.n_plus, f.n_minus, f.dim) == (3, 2, 1, 4)
+        assert f.j_signs.tolist() == [1.0, 1.0, -1.0]
+        assert np.array_equal(f.reconstruct(), np.diag([1.0, 1.0, -1.0, 0.0]))
+        empty = SignedFactorization(np.zeros((2, 0), dtype=complex), 0)
+        assert (empty.rank, empty.n_minus, empty.j_signs.shape) == (0, 0, (0,))
+
+    @pytest.mark.parametrize("n_plus", [-1, 4])
+    def test_n_plus_outside_the_columns_refused(self, n_plus):
+        with pytest.raises(PreconditionError, match="n_plus"):
+            SignedFactorization(np.eye(3, dtype=complex), n_plus)
+
+    def test_phi_reads_the_plus_block_of_phi_plus(self):
+        # J and the + block are one layout: the leading n_plus x n_plus
+        # block of phi is phi_plus
+        fam = HerglotzFamily(np.diag([0.0, 1.0]), SignedFactorization(np.eye(2, dtype=complex), 1))
+        z = 0.3 + 0.2j
+        assert np.array_equal(fam.evaluate_phi(z)[:1, :1], fam.evaluate_phi_plus(z))
+        assert np.array_equal(fam.fact.j_matrix(), np.diag([1.0, -1.0]).astype(complex))
 
 
 class TestSignFactorization:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,32 @@ class TestLogmDissipative:
         for scale in (1e-6, 1e3, 1e9):
             shifted = base + np.log(scale) * np.eye(4)
             assert frobenius(logm_dissipative(scale * t) - shifted) <= 1e-12 * frobenius(shifted)
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            1e308j * np.eye(2),
+            3e307j * np.eye(2),
+            1e-310j * np.eye(1),
+            5e-324j * np.eye(1),
+            np.array([1e200j * np.eye(2), 1e-200j * np.eye(2)]),
+        ],
+        ids=["1e308", "3e307", "1e-310", "5e-324", "stack-1e200-1e-200"],
+    )
+    def test_mesh_past_the_double_range_refused(self, t):
+        with pytest.raises(PreconditionError, match="past the double range"):
+            logm_dissipative(t)
+        with pytest.raises(PreconditionError, match="past the double range"):
+            logm_antidissipative(t.conj().swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("z", [2e307j, 1e307j, 3e-308j])
+    def test_near_the_range_ends_unwarned(self, z):
+        # the tail nodes once overflowed an exponential they never use
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logm_dissipative(z * np.eye(2))
+        want = scalar_log(z) * np.eye(2)
+        assert frobenius(got - want) <= 1e-12 * frobenius(want)
 
     def test_one_round_of_quadrature(self, monkeypatch):
         # in the logarithmic variable every pole of the middle part lies at

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from kreinshift import shift
+from kreinshift import matkit, shift
 from kreinshift.checks import DEFAULT_SEED, _trace_instances
 from kreinshift.errors import ConvergenceError, PreconditionError
-from kreinshift.generators import random_hermitian, random_indefinite, random_psd
+from kreinshift.generators import random_hermitian, random_indefinite, random_pair, random_psd
 from kreinshift.herglotz import HerglotzFamily, SignBlock, boundary_log, shift_projection
 from kreinshift.matkit import (
     HermitianEig,
@@ -214,10 +214,18 @@ class TestDetRouteStack:
         fam = random_family
         grid = safe_grid(fam, 40)
         whole = xi_via_det(fam, grid)
+        # a byte budget of 1 leaves the floor: DET_CHUNK_MIN heights a chunk
         monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 1)
-        assert shift._det_chunk(fam) == shift.DET_CHUNK_MIN
-        assert grid.size * 30 > 4 * shift.DET_CHUNK_MIN  # ladders of 30+ heights
+        calls = []
+
+        def batches(*args):
+            calls.append(matkit._batches(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(shift, "_batches", batches)
         assert np.array_equal(xi_via_det(fam, grid), whole)
+        assert len(calls[0]) > 4  # the ladders of all points, 30+ heights each
+        assert {s.stop - s.start for chunks in calls for s in chunks} == {shift.DET_CHUNK_MIN}
         assert np.array_equal(whole, [xi_via_det(fam, float(lam)) for lam in grid])
 
     def test_types(self, random_family):
@@ -427,6 +435,29 @@ class TestGrids:
             snap_grid(fam, [0.5, np.nan])
         with pytest.raises(PreconditionError, match="lambda=nan"):
             xi_at(fam, np.nan)
+
+    def test_non_finite_points_refused_by_every_route(self):
+        fam = HerglotzFamily.from_potential(*random_pair(np.random.default_rng(3), 5, 6))
+        for x in (np.inf, -np.inf, np.nan):
+            assert fam.near_spectrum([x, 0.5]).tolist()[0]
+            # the oracle refuses by itself, not through the exclusion zones
+            with pytest.raises(PreconditionError, match="is not finite"):
+                xi_counting_oracle(fam, x)
+            with pytest.raises(PreconditionError, match="is not finite"):
+                xi_counting_oracle(fam, np.array([0.5, x]))
+            for route in (xi_via_det, xi_at):
+                with pytest.raises(PreconditionError, match="is not finite"):
+                    route(fam, x)
+            for block in SignBlock:
+                with pytest.raises(PreconditionError, match="is not finite"):
+                    boundary_log(fam, block, x)
+        for z in (complex(0.0, np.inf), complex(np.inf, 1.0), complex(np.nan, 1.0)):
+            with pytest.raises(PreconditionError, match="is not finite"):
+                trace_formula_residual(fam, z)
+            with pytest.raises(PreconditionError, match="is not finite"):
+                herglotz_reconstruction_residual(fam, z)
+            with pytest.raises(PreconditionError, match="is not finite"):
+                trace_identity_checks(fam, (1.0 + 2.0j, z))
 
     def test_safe_grid_size_and_safety(self, random_family):
         grid = safe_grid(random_family, 50)
