@@ -18,7 +18,6 @@ _SUBMODULES = {
         "HermitianEig",
         "SignedFactorization",
         "apply_spectral_function",
-        "det",
         "eig_hermitian",
         "expm",
         "sign_factorization",

@@ -32,10 +32,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import PreconditionError
-from .herglotz import HerglotzFamily, SignBlock, shift_projection
+from .herglotz import HerglotzFamily, SignBlock
 from .matkit import (
     SignedFactorization,
-    _sorted_unique,
     apply_spectral_function,
     as_matrix,
     frobenius,
@@ -44,9 +43,10 @@ from .matkit import (
     trace,
 )
 from .oplog import logm_dissipative
-from .quadrature import integrate_piecewise
 from .shift import (
     IDENTITY_REL_TOL,
+    _shift_integral,
+    _shift_sum,
     counting_steps,
     step_integral,
 )
@@ -261,19 +261,6 @@ def _endpoint_terms(h0, k, s1: float, s2: float) -> list:
     return terms
 
 
-def _increment(terms: list, lams: np.ndarray) -> np.ndarray:
-    """Xi(lam, s2) - Xi(lam, s1) at the points lams, stacked (m, r, r).
-
-    The block operators are read without the exclusion zones of the
-    profiles: a small coupling or a short [s1, s2] leaves pieces between
-    breakpoints narrower than a zone, and the lam-integral needs values
-    inside them."""
-    return sum(
-        w * shift_projection(fam.evaluate_block(which, lams)).projection
-        for fam, which, w in terms
-    )
-
-
 @dataclass(frozen=True)
 class OperatorAverageReport:
     residual: float
@@ -296,19 +283,14 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
     for w, sandwich in zip(ws, k.conj().T @ fhs @ k):
         lhs = lhs + w * sandwich
 
+    # Xi(lam, s2) - Xi(lam, s1) against f; a coupling too small to move any
+    # eigenvalue leaves a single breakpoint and a zero integral
     terms = _endpoint_terms(h0, k, s1, s2)
-    breakpoints = _sorted_unique(
-        np.concatenate([terms[0][0].eig0.eigenvalues] + [t[0].eig_h.eigenvalues for t in terms])
-    )
-
-    def integrand(lams):
-        return np.array([f(float(lam)) for lam in lams])[:, None, None] * _increment(terms, lams)
-
-    if breakpoints.size < 2:  # a coupling too small to move any eigenvalue
-        rhs = np.zeros((r, r), dtype=np.complex128)
-    else:
-        rhs, _ = integrate_piecewise(integrand, breakpoints)
-    rhs = hermitian_part(rhs)
+    rhs = hermitian_part(_shift_integral(
+        terms,
+        np.concatenate([terms[0][0].eig0.eigenvalues] + [t[0].eig_h.eigenvalues for t in terms]),
+        lambda lams: np.array([f(float(lam)) for lam in lams]),
+    ))
     return OperatorAverageReport(float(frobenius(lhs - rhs)), lhs, rhs)
 
 
@@ -343,4 +325,4 @@ def operator_average_increment(h0, k, s1: float, s2: float, lam: float) -> np.nd
     r = k.shape[1]
     if s1 == s2 or r == 0:
         return np.zeros((r, r), dtype=np.complex128)
-    return _increment(_endpoint_terms(h0, k, s1, s2), np.array([float(lam)]))[0]
+    return _shift_sum(_endpoint_terms(h0, k, s1, s2), np.array([float(lam)]))[0]

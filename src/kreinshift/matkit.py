@@ -21,7 +21,6 @@ __all__ = [
     "as_matrix",
     "trace",
     "frobenius",
-    "operator_norm",
     "trace_norm",
     "is_hermitian",
     "hermitian_part",
@@ -29,7 +28,6 @@ __all__ = [
     "eig_hermitian",
     "apply_spectral_function",
     "solve_shifted",
-    "det",
     "expm",
     "sign_factorization",
     "check_tolerance",
@@ -59,19 +57,11 @@ def as_matrix(a) -> np.ndarray:
 
 
 def trace(a) -> complex:
-    m = np.asarray(a)
-    return complex(np.trace(m)) if m.size else 0.0 + 0.0j
+    return complex(np.trace(np.asarray(a)))
 
 
 def frobenius(a) -> float:
-    m = np.asarray(a)
-    return float(np.linalg.norm(m)) if m.size else 0.0
-
-
-def operator_norm(a) -> float:
-    """Spectral norm (largest singular value)."""
-    m = np.asarray(a)
-    return float(np.linalg.norm(m, 2)) if m.size else 0.0
+    return float(np.linalg.norm(np.asarray(a)))
 
 
 def trace_norm(a) -> float:
@@ -138,26 +128,34 @@ def _as_stack(a) -> tuple[np.ndarray, bool]:
 def _batches(count: int, item_size: int, budget: int, least: int = 1) -> list:
     """Slices of a stack of ``count`` items: as many items a slice as keep a
     batched temporary of ``item_size`` per item within ``budget``, but never
-    fewer than ``least``.  An empty stack gives one empty slice."""
-    size = max(least, budget // item_size)
+    fewer than ``least``; items of size 0 are one slice.  An empty stack
+    gives one empty slice."""
+    size = max(least, budget // item_size if item_size else count)
     return [slice(i, i + size) for i in range(0, max(count, 1), size)]
+
+
+def _entry_scale(m: np.ndarray, axis=None) -> np.ndarray:
+    """The power of two at the largest entry of m (over ``axis``), inverted:
+    scaled by it, that entry's modulus lies in [1/2, 1), so Frobenius norms
+    of finite matrices do not overflow, and the scaling is exact."""
+    # the modulus of a finite entry can pass the double range (its
+    # exponent is then 1024); a subnormal one would need a factor past it
+    top = np.fmin(np.abs(m).max(axis=axis, initial=0.0), np.finfo(float).max)
+    return np.ldexp(1.0, np.fmin(-np.frexp(top)[1], 1023))
 
 
 def _asymmetry(m: np.ndarray, rtol: float) -> tuple:
     """For a finite matrix, or per matrix of a stack (k, n, n): whether
     ||A - A*||_F exceeds rtol * ||A||_F, and those two sides.
 
-    Both norms are taken of A scaled by the power of two at its largest
-    entry.  Unscaled they overflow once entries pass about 1e154, and
-    inf <= inf would pass any matrix.  The scaling is exact, so wherever
-    the unscaled norms are finite and normal the verdict is theirs.  The
-    two sides are returned unscaled, for messages.
+    Both norms are taken of A scaled by ``_entry_scale``.  Unscaled they
+    overflow once entries pass about 1e154, and inf <= inf would pass any
+    matrix.  The scaling is exact, so wherever the unscaled norms are
+    finite and normal the verdict is theirs.  The two sides are returned
+    unscaled, for messages.
     """
     axis = None if m.ndim == 2 else (-2, -1)
-    # the modulus of a finite entry can pass the double range (its
-    # exponent is then 1024); a subnormal one would need a factor past it
-    top = np.fmin(np.abs(m).max(axis=axis, initial=0.0), np.finfo(float).max)
-    scale = np.ldexp(1.0, np.fmin(-np.frexp(top)[1], 1023))
+    scale = _entry_scale(m, axis)
     s = m * scale[..., None, None]
     dev = np.linalg.norm(s - s.conj().swapaxes(-1, -2), axis=axis)
     limit = rtol * np.linalg.norm(s, axis=axis)
@@ -275,12 +273,6 @@ def solve_shifted(a, z, b) -> np.ndarray:
     return np.linalg.solve(shifted, rhs)
 
 
-def det(a) -> complex:
-    """Determinant via pivoted LU factorization."""
-    m = as_matrix(a)
-    return complex(np.linalg.det(m)) if m.size else 1.0 + 0.0j
-
-
 _EXPM_TERMS = 18
 _EXPM_TARGET = 0.5
 
@@ -344,8 +336,6 @@ class SignedFactorization:
 
     def reconstruct(self) -> np.ndarray:
         """K diag(j_signs) K*."""
-        if self.rank == 0:
-            return np.zeros((self.dim, self.dim), dtype=np.complex128)
         return hermitian_part((self.k * self.j_signs) @ self.k.conj().T)
 
 

@@ -62,9 +62,7 @@ from .matkit import (
     _batches,
     as_matrix,
     check_tolerance,
-    det,
     imaginary_part,
-    operator_norm,
     trace,
 )
 from .quadrature import integrate_adaptive
@@ -126,9 +124,7 @@ def scalar_log(z, branch: Branch = Branch.LOG) -> complex:
 
 
 def _margins(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of Im(T) for each T of a stack (0 for 0x0)."""
-    if stack.shape[1] == 0:
-        return np.zeros(stack.shape[0])
+    """Smallest eigenvalue of Im(T) for each T of a non-empty stack."""
     return np.linalg.eigvalsh(imaginary_part(stack))[:, 0]
 
 
@@ -289,8 +285,8 @@ def tr_log_det_bridge(a) -> BridgeResult:
     """Compare tr(log(I+A)) with log(det(I+A)) for (anti)dissipative I+A."""
     m = as_matrix(a)
     t = m + np.eye(m.shape[0], dtype=np.complex128)
-    scale = max(operator_norm(t), np.finfo(float).tiny)
-    im_eigs = np.linalg.eigvalsh(imaginary_part(t)) if t.size else np.zeros(0)
+    scale = max(float(np.linalg.norm(t, 2)), np.finfo(float).tiny)
+    im_eigs = np.linalg.eigvalsh(imaginary_part(t))
     tol = DISSIPATIVE_RTOL * scale
     if im_eigs.size == 0 or im_eigs[0] >= -tol:
         lhs = trace(logm_dissipative(t))
@@ -300,7 +296,7 @@ def tr_log_det_bridge(a) -> BridgeResult:
         raise PreconditionError(
             "I + A is neither dissipative nor anti-dissipative within tolerance"
         )
-    d = det(t)
+    d = complex(np.linalg.det(t))
     if d == 0:
         raise PreconditionError("det(I + A) vanishes")
     rhs0 = scalar_log(d, Branch.LOG)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kreinshift import averaging
+from kreinshift import averaging, shift
 from kreinshift.averaging import (
     PerturbationPath,
     TestFunction,
@@ -244,7 +244,7 @@ class TestOperatorAverage:
         def refuse(*args, **kwargs):
             raise AssertionError("integrate_piecewise called")
 
-        monkeypatch.setattr(averaging, "integrate_piecewise", refuse)
+        monkeypatch.setattr(shift, "integrate_piecewise", refuse)
         rep = operator_average_residual(np.zeros((1, 1)), np.array([[1e-170]]), TestFunction.polynomial([1.0]))
         assert rep.residual == 0.0
         assert np.array_equal(rep.rhs, np.zeros((1, 1)))

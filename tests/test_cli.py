@@ -14,6 +14,7 @@ from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
 from kreinshift.cli import main
 from kreinshift.errors import KreinShiftError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite
+from kreinshift.herglotz import boundary_log
 from kreinshift.io import format_float, read_matrix, write_matrix
 
 SRC = str(Path(kreinshift.__file__).resolve().parent.parent)
@@ -402,7 +403,6 @@ class TestLogmCommand:
             (3e307j, 2, "past the double range"),
             (1e-310j, 1, "past the double range"),
             (5e-324j, 1, "past the double range"),
-            (2e307j, 2, "expm-roundtrip-relative-residual nan"),
         ],
     )
     def test_range_ends_exit_1_on_one_line(self, tmp_path, capsys, z, n, message):
@@ -414,9 +414,23 @@ class TestLogmCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
-    def test_non_finite_ln_residual_exit_1_on_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("z, branch", [(2e307j, "log"), (1e308j, "ln")])
+    def test_near_range_end_exit_0(self, tmp_path, capsys, z, branch):
+        # the norms of the round trip are taken scaled by the power of two
+        # at T's largest entry, so they do not overflow past about 1e154
         p = tmp_path / "t.json"
-        write_matrix(p, 1e308j * np.eye(2))
+        write_matrix(p, z * np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "logm", "--t", str(p), "--branch", branch)
+        assert code == 0 and err == ""
+        assert float(out.strip().splitlines()[-1].split(",")[1]) < 1e-11
+
+    def test_non_finite_ln_residual_exit_1_on_one_line(self, tmp_path, capsys, monkeypatch):
+        # an exponential that is not finite leaves a residual that is not
+        monkeypatch.setattr(cli, "expm", lambda a: np.full(np.shape(a), np.nan, dtype=complex))
+        p = tmp_path / "t.json"
+        write_matrix(p, 2j * np.eye(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "logm", "--t", str(p), "--branch", "ln")
@@ -609,6 +623,34 @@ class TestAverageCommands:
         assert dest.read_text().startswith(header)
 
 
+class TestIntegralityLine:
+    """``shift function off integers by`` reads pi^(-1) tr Im of the eps-route
+    boundary log, which is an integer by the paper's definition."""
+
+    def test_reads_eight_eps_values(self, monkeypatch):
+        routes = []
+
+        def spy(fam, which, lam, route="direct"):
+            routes.append(route)
+            return boundary_log(fam, which, lam, route)
+
+        monkeypatch.setattr(checks, "boundary_log", spy)
+        line = checks.check_oracle_equivalence(DEFAULT_SEED)[1]
+        assert line.name == "shift function off integers by"
+        assert routes == ["eps"] * 8 and "8 values" in line.note
+        assert line.ok and line.value < 1e-12
+
+    def test_a_trace_off_the_integers_fails(self, monkeypatch):
+        def off(fam, which, lam, route="direct"):
+            val, rec = boundary_log(fam, which, lam, route)
+            n = val.shape[0]
+            return val + (0.25j * math.pi / max(n, 1)) * np.eye(n), rec
+
+        monkeypatch.setattr(checks, "boundary_log", off)
+        line = checks.check_oracle_equivalence(DEFAULT_SEED)[1]
+        assert not line.ok and line.value == pytest.approx(0.25)
+
+
 class TestCheckCommand:
     def test_single_suite(self, capsys):
         code, out, _ = run_cli(capsys, "check", "example39")
@@ -650,9 +692,9 @@ class TestCheckCommand:
 
     def test_unopenable_out_file_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("run_suites called before the --out file was opened")
+            raise AssertionError("run_suite called before the --out file was opened")
 
-        monkeypatch.setattr(checks, "run_suites", never)
+        monkeypatch.setattr(checks, "run_suite", never)
         dest = tmp_path / "missing-dir" / "x.txt"
         code, out, err = run_cli(capsys, "check", "all", "--out", str(dest))
         assert code == 2

@@ -126,6 +126,20 @@ class TestCountingOracle:
         with pytest.raises(PreconditionError):
             xi_counting_oracle(rank_one_family(1.0), 1.0)
 
+    def test_one_refusal_with_the_trace_formula(self, random_family):
+        # the oracle and the trace formula refuse the same zone, within 1e-12
+        # of the spectral diameter of an eigenvalue of H0 or H, in one message
+        width = 1e-12 * random_family.spectral_diameter()
+        for eig in (random_family.eig0.eigenvalues[2], random_family.eig_h.eigenvalues[-1]):
+            lam = float(eig) + 0.5 * width
+            with pytest.raises(PreconditionError, match="coincides with an eigenvalue of H0 or H"):
+                xi_counting_oracle(random_family, lam)
+            with pytest.raises(PreconditionError, match="coincides with an eigenvalue of H0 or H"):
+                trace_formula_residual(random_family, complex(lam, 0.5 * width))
+        lam = float(random_family.eig_h.eigenvalues[-1]) + 2.0 * width
+        xi_counting_oracle(random_family, lam)
+        trace_formula_residual(random_family, complex(lam, 0.0))
+
 
 class TestXiViaDet:
     def test_scalar(self):
@@ -301,12 +315,12 @@ class TestTraceIdentities:
     def test_rank_one(self):
         rep = trace_identity_checks(rank_one_family(1.0), zs=())
         assert rep.trace_v_residual < 1e-12
-        assert rep.l1_bound_holds
+        assert rep.l1_slack >= 0
 
     def test_random(self, random_family):
         rep = trace_identity_checks(random_family, zs=(1.0 + 2.0j,))
         assert rep.trace_v_residual < 1e-8
-        assert rep.l1_bound_holds
+        assert rep.l1_slack >= 0
         assert rep.fd_plus_residual < 1e-6
         assert rep.fd_minus_residual < 1e-6
 
@@ -414,6 +428,33 @@ class TestReconstruction:
         fam = HerglotzFamily.from_potential(np.diag([0.0, 1.0]), -np.diag([1.0, 0.5]))
         assert fam.n_plus == 0
         assert herglotz_reconstruction_residual(fam, 1.0 + 2.0j) == 0.0
+
+
+class TestEmptyFamily:
+    """A family of dimension 0: no spectrum, so every shift value is 0 and
+    no grid can be placed on a spectrum."""
+
+    @pytest.fixture
+    def fam(self):
+        return HerglotzFamily.from_potential(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_xi_at_is_zero(self, fam):
+        assert xi_at(fam, 0.5) == 0.0
+        assert xi_at(fam, np.array([-1.0, 0.5, 2.0])).tolist() == [0.0, 0.0, 0.0]
+
+    def test_profile_on_an_explicit_grid_is_zero(self, fam):
+        prof = compute_profile(fam, [0.5, 2.0], include_det=True)
+        assert prof.grid.tolist() == [0.5, 2.0]
+        for key in ("xi", "xi_plus", "xi_minus", "xi_oracle", "xi_det"):
+            assert getattr(prof, key).tolist() == [0.0, 0.0], key
+
+    def test_auto_grid_refused(self, fam):
+        with pytest.raises(PreconditionError, match="no spectrum to place grid points on"):
+            auto_grid(fam)
+
+    def test_safe_grid_refused(self, fam):
+        with pytest.raises(PreconditionError, match="no spectrum to place grid points on"):
+            safe_grid(fam, 5)
 
 
 class TestGrids:
