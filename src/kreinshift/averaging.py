@@ -45,10 +45,11 @@ from .matkit import (
 from .oplog import logm_dissipative
 from .shift import (
     IDENTITY_REL_TOL,
+    _require_finite,
     _shift_integral,
-    _shift_sum,
     counting_steps,
     step_integral,
+    xi_operator,
 )
 
 __all__ = [
@@ -84,6 +85,7 @@ class PerturbationPath:
         object.__setattr__(self, "v1", hermitian_part(as_matrix(self.v1)))
         if self.v0.shape != self.v1.shape:
             raise PreconditionError("path endpoints must share a dimension")
+        _require_finite("s", [self.s1, self.s2])
         if not self.s1 < self.s2:
             raise PreconditionError("require s1 < s2")
 
@@ -109,6 +111,8 @@ class TestFunction:
     @classmethod
     def polynomial(cls, coeffs) -> "TestFunction":
         c = np.asarray([float(x) for x in coeffs])
+        if not c.size:
+            raise PreconditionError("a polynomial needs at least one coefficient")
         if not np.isfinite(c).all():
             raise PreconditionError("polynomial coefficients must be finite")
         ints = np.polynomial.polynomial.polyint(c)
@@ -198,6 +202,8 @@ def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: comple
     so the two sides share no machinery.
     """
     z = complex(z)
+    _require_finite("s", s)
+    _require_finite("z", z)
     if z.imag == 0:
         raise PreconditionError("z must be off the real axis")
     h0 = as_matrix(h0)
@@ -314,15 +320,18 @@ def operator_increment_residual(
 def operator_average_increment(h0, k, s1: float, s2: float, lam: float) -> np.ndarray:
     """Increment of the scaled shift operator between coupling strengths:
     Xi(lam, s2) - Xi(lam, s1) for the pairs (H0, H0 + s*KK*), s of either
-    sign.
+    sign, each read by ``xi_operator``.
 
     Hermitian with eigenvalues in [-1, 1] up to roundoff; vanishes when
     s1 = s2 and reduces to the plain shift operator when s1 = 0.  Raises
-    PreconditionError where lam is an eigenvalue of H0.
+    PreconditionError inside an exclusion zone of H0 and where the boundary
+    matrix of either end is singular, at an eigenvalue of H0 + s*KK*
+    among them.
     """
     h0 = as_matrix(h0)
     k = _checked_factor(h0, k, s1, s2, lam)
     r = k.shape[1]
     if s1 == s2 or r == 0:
         return np.zeros((r, r), dtype=np.complex128)
-    return _shift_sum(_endpoint_terms(h0, k, s1, s2), np.array([float(lam)]))[0]
+    terms = _endpoint_terms(h0, k, s1, s2)
+    return sum(w * xi_operator(fam, which, lam) for fam, which, w in terms)

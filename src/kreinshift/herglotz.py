@@ -296,16 +296,16 @@ def shift_projection(stack) -> ShiftProjection:
     return ShiftProjection(hermitian_part(p), np.count_nonzero(neg, axis=-1), singular, w, u)
 
 
-def refuse_singular(sp: ShiftProjection, lams) -> ShiftProjection:
-    """sp, after checking that no boundary matrix of the stack, taken at the
-    points lams, is flagged singular: there the direct route has no value."""
-    if sp.singular.any():
-        lam = float(np.asarray(lams, dtype=float)[sp.singular][0])
+def refuse_singular(singular, lams) -> None:
+    """Raise unless no boundary matrix of a stack, taken at the points lams,
+    is flagged ``singular`` (per matrix, as ``shift_projection`` flags it):
+    there the direct route has no value."""
+    if singular.any():
+        lam = float(np.asarray(lams, dtype=float)[singular][0])
         raise PreconditionError(
             f"boundary matrix is singular at lambda={lam!r}; "
             "the direct route is unavailable"
         )
-    return sp
 
 
 def boundary_log(
@@ -335,7 +335,8 @@ def boundary_log(
     if route == "direct":
         # spectral calculus: log|M| + i*pi*P with P the shift projection of
         # the Hermitian boundary matrix M (conjugated on the - block)
-        sp = refuse_singular(shift_projection(fam.evaluate_block(which, lam)[None]), [lam])
+        sp = shift_projection(fam.evaluate_block(which, lam)[None])
+        refuse_singular(sp.singular, [lam])
         u = sp.vectors[0]
         log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
         sign = 1.0 if plus else -1.0

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PreconditionError
-from .herglotz import HerglotzFamily, ShiftProjection, SignBlock, refuse_singular, shift_projection
+from .herglotz import HerglotzFamily, SignBlock, refuse_singular, shift_projection
 from .matkit import (
     _batches,
     _sorted_unique,
@@ -96,43 +96,43 @@ def _chunks(fam: HerglotzFamily, count: int) -> list:
     return _batches(count, 16 * fam.dim * max(fam.n_plus, fam.n_minus, 1), PROFILE_CHUNK_BYTES)
 
 
-def _block_operators(fam, which, lams) -> ShiftProjection:
-    """One batched ``shift_projection`` of the boundary matrices of one
-    block (phi_plus or phi_minus~) at every point of the 1-D array lams.
-    Each projection, stacked (m, b, b), is the shift operator of the block
-    there unless its matrix is flagged singular; callers move such a point
-    or refuse it (``refuse_singular``)."""
-    fam.check_off_spectrum(lams, which)
-    return shift_projection(fam.evaluate_block(which, lams))
-
-
-def _both_blocks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
-    return (
-        _block_operators(fam, SignBlock.PLUS, lams),
-        _block_operators(fam, SignBlock.MINUS, lams),
-    )
+def _ranks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
+    """Ranks of the + and - shift operators at each point of the 1-D array
+    lams, and whether either boundary matrix there is flagged singular:
+    one exclusion-zone check over the spectra both blocks read (H0 and H+),
+    then one batched ``shift_projection`` per block per ``_chunks`` slice.
+    A flagged point has no rank; callers move it or refuse it
+    (``refuse_singular``)."""
+    fam.check_off_spectrum(lams, SignBlock.MINUS)
+    cols = []
+    for s in _chunks(fam, lams.size):
+        plus, minus = (shift_projection(fam.evaluate_block(b, lams[s])) for b in SignBlock)
+        cols.append((plus.rank, minus.rank, plus.singular | minus.singular))
+    return tuple(np.concatenate(col) for col in zip(*cols))
 
 
 def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
     """Shift operator of the pair (H0, H+) (PLUS) or (H+, H) (MINUS) at lam:
     the orthogonal projection onto the negative eigenspace of the boundary
-    matrix.  Raises PreconditionError where that matrix is singular."""
+    matrix.  Raises PreconditionError inside the exclusion zones of the
+    spectra the block reads and where that matrix is singular."""
     lams = np.array([float(lam)])
-    return refuse_singular(_block_operators(fam, which, lams), lams).projection[0]
+    fam.check_off_spectrum(lams, which)
+    sp = shift_projection(fam.evaluate_block(which, lams))
+    refuse_singular(sp.singular, lams)
+    return sp.projection[0]
 
 
 def xi_at(fam: HerglotzFamily, lam):
     """Shift function via the operator route: the rank of the + projection
-    minus that of the - projection, an exact integer held as a float.  A
-    scalar lam gives a float; an array of points gives the array of values,
-    evaluated in batched chunks as in ``compute_profile``.  Raises
-    PreconditionError at a point where a boundary matrix is singular."""
+    minus that of the - projection (``_ranks``), an exact integer held as a
+    float.  A scalar lam gives a float; an array of points gives the array
+    of values.  Raises PreconditionError inside an exclusion zone of H0 or
+    H+ and at a point where a boundary matrix is singular."""
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    ranks = []
-    for s in _chunks(fam, lams.size):
-        plus, minus = (refuse_singular(sp, lams[s]) for sp in _both_blocks(fam, lams[s]))
-        ranks.append(plus.rank - minus.rank)
-    vals = np.concatenate(ranks).astype(float)
+    plus, minus, singular = _ranks(fam, lams)
+    refuse_singular(singular, lams)
+    vals = (plus - minus).astype(float)
     return float(vals[0]) if np.ndim(lam) == 0 else vals
 
 
@@ -487,25 +487,21 @@ def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
 # ----------------------------------------------------------------------
 # lam-integrals of shift operators
 
-def _shift_sum(terms, lams: np.ndarray) -> np.ndarray:
-    """Sum of w * Xi over (family, sign block, w) terms, Xi the block's shift
-    operator, at the 1-D array lams, stacked (m, b, b).  Read without the
-    exclusion zones of the profiles: a small perturbation or coupling leaves
-    pieces between breakpoints narrower than a zone."""
-    return sum(
-        w * shift_projection(fam.evaluate_block(which, lams)).projection
-        for fam, which, w in terms
-    )
-
-
 def _shift_integral(terms, breakpoints, weight) -> np.ndarray:
-    """Integral of weight(lam) * ``_shift_sum(terms, lam)`` over the hull of
-    the breakpoints (``integrate_piecewise``), weight vectorized over lam;
-    zero when the breakpoints are one point."""
+    """Integral of weight(lam) times the sum of w * Xi over (family, sign
+    block, w) terms, Xi the block's shift operator, over the hull of the
+    breakpoints (``integrate_piecewise``), weight vectorized over lam; zero
+    when the breakpoints are one point."""
     pts = _sorted_unique(breakpoints)
 
     def integrand(lams):
-        return weight(lams)[:, None, None] * _shift_sum(terms, lams)
+        # read without the exclusion zones of the profiles: a small
+        # perturbation or coupling leaves pieces between breakpoints
+        # narrower than a zone
+        return weight(lams)[:, None, None] * sum(
+            w * shift_projection(fam.evaluate_block(which, lams)).projection
+            for fam, which, w in terms
+        )
 
     if pts.size < 2:
         return integrand(pts[:0]).sum(axis=0)  # the empty stack sums to zero
@@ -655,46 +651,33 @@ class ShiftProfile:
 def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> ShiftProfile:
     """Evaluate the shift data over a grid.
 
-    Points inside an exclusion zone are snapped off it (``snap_grid``).  The
-    grid is taken in chunks whose stacked temporaries stay under
-    PROFILE_CHUNK_BYTES.  Per chunk, phi_plus and phi_minus~ are built for
-    all points at once, and one batched shift projection per block gives
-    the shift operators.  A point where either boundary matrix is flagged
-    singular is moved by the same doubling search, from the point itself
-    toward the hull center, to the first spot where neither is, before
-    anything reads it; ``grid`` holds the evaluated points.  Every operator
-    is an exact projection, so ``xi_plus`` and ``xi_minus`` are ranks
-    (exact integers as floats) and its eigenvalues are its rank in ones,
-    then zeros.  The counting oracle is one vectorized count per chunk; the
-    determinant route (``include_det``) is one ``xi_via_det`` call over the
-    whole grid.
+    Points inside an exclusion zone are snapped off it (``snap_grid``).  One
+    ``_ranks`` read over the whole grid gives the ranks of both shift
+    operators at every point.  A point where either boundary matrix is
+    flagged singular is moved by the same doubling search, from the point
+    itself toward the hull center, to the first spot where neither is; the
+    flagged points alone are nudged and read again, and ``grid`` holds the
+    evaluated points.  Every operator is an exact projection, so
+    ``xi_plus`` and ``xi_minus`` are ranks (exact integers as floats) and
+    its eigenvalues are its rank in ones, then zeros.  The counting oracle
+    is one vectorized count over the grid; the determinant route
+    (``include_det``) is one ``xi_via_det`` call over the whole grid.
     """
     grid = snap_grid(fam, grid)
-    nudge = _snapper(
-        fam, lambda x: not any(sp.singular[0] for sp in _both_blocks(fam, np.array([x])))
-    )
-    cols = {key: [] for key in ("xp", "xm", "ep", "em", "oracle")}
-    for s in _chunks(fam, grid.size):
-        lams = grid[s]  # a view: nudged points land in grid
-        sps = _both_blocks(fam, lams)
-        moved = sps[0].singular | sps[1].singular
-        if moved.any():
-            lams[moved] = [nudge(x) for x in lams[moved]]
-            sps = _both_blocks(fam, lams)
-        for sp, xcol, ecol in zip(sps, ("xp", "xm"), ("ep", "em")):
-            cols[xcol].append(refuse_singular(sp, lams).rank)
-            block = sp.projection.shape[-1]
-            cols[ecol].extend((np.arange(block) < sp.rank[:, None]).astype(float))
-        cols["oracle"].append(xi_counting_oracle(fam, lams))
-    xp = np.concatenate(cols["xp"]).astype(float)
-    xm = np.concatenate(cols["xm"]).astype(float)
+    plus, minus, moved = _ranks(fam, grid)
+    if moved.any():
+        nudge = _snapper(fam, lambda x: not _ranks(fam, np.array([x]))[2][0])
+        grid[moved] = [nudge(x) for x in grid[moved]]
+        plus[moved], minus[moved], singular = _ranks(fam, grid[moved])
+        refuse_singular(singular, grid[moved])
+    xp, xm = plus.astype(float), minus.astype(float)
     return ShiftProfile(
         grid=grid,
         xi=xp - xm,
         xi_plus=xp,
         xi_minus=xm,
-        xi_op_plus_eigs=cols["ep"],
-        xi_op_minus_eigs=cols["em"],
-        xi_oracle=np.concatenate(cols["oracle"]).astype(float),
+        xi_op_plus_eigs=list((np.arange(fam.n_plus) < plus[:, None]).astype(float)),
+        xi_op_minus_eigs=list((np.arange(fam.n_minus) < minus[:, None]).astype(float)),
+        xi_oracle=xi_counting_oracle(fam, grid).astype(float),
         xi_det=xi_via_det(fam, grid) if include_det else np.full(grid.size, math.nan),
     )

@@ -15,6 +15,9 @@ checkout) and prints one line per output, ``<sha256>  <name>``:
   ``xi-ci/120x8`` on the pairs the CI workflow writes
 * ``logm/t`` and ``logm/t-anti``: ``logm`` and ``logm --anti`` on the CI
   workflow's ``t.json`` and ``t-anti.json``
+* ``average/2x2``, ``op-average/2x2`` and ``op-average/2x2-negative``:
+  ``average``, ``op-average`` and ``op-average --s-range=-1:-0.2`` on the
+  CI workflow's ``h0d.json``, ``v2.json`` and ``k2.json``
 * ``logm-eps/logm/seed-S``: the 240 ``logm_dissipative`` results on the
   inputs of the ``logm-eps`` workload at seeds 1-5
 * ``logm-eps/eps/seed-S``: the eps-route values and convergence records at
@@ -74,7 +77,8 @@ def _cli_output(argv, out: Path) -> str:
 
 
 def _ci_files(tmp: Path) -> None:
-    """The matrix files of the CI workflow's thread-count step."""
+    """The matrix files of the CI workflow's thread-count step, and the 2x2
+    ones of its exit-code step that the averaging commands read."""
     import numpy as np
 
     from kreinshift.generators import (
@@ -94,6 +98,9 @@ def _ci_files(tmp: Path) -> None:
     rng = np.random.default_rng(7)
     write_matrix(tmp / "h0-120.json", random_hermitian(rng, 120))
     write_matrix(tmp / "v-120.json", random_indefinite(rng, 120, 8))
+    write_matrix(tmp / "h0d.json", np.diag([0.0, 1.0]))
+    write_matrix(tmp / "v2.json", np.array([[1.0, 0.4], [0.4, 1.0]]))
+    write_matrix(tmp / "k2.json", np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
 def outputs(src: Path, tmp: Path):
@@ -118,6 +125,15 @@ def outputs(src: Path, tmp: Path):
     yield "logm/t", _cli_output(["logm", "--t", str(tmp / "t.json")], tmp / "logm.csv")
     yield "logm/t-anti", _cli_output(
         ["logm", "--t", str(tmp / "t-anti.json"), "--anti"], tmp / "logm.csv"
+    )
+    h0d = ["--h0", str(tmp / "h0d.json")]
+    k2 = ["--k", str(tmp / "k2.json")]
+    yield "average/2x2", _cli_output(
+        ["average", *h0d, "--v", str(tmp / "v2.json")], tmp / "average.csv"
+    )
+    yield "op-average/2x2", _cli_output(["op-average", *h0d, *k2], tmp / "average.csv")
+    yield "op-average/2x2-negative", _cli_output(
+        ["op-average", *h0d, *k2, "--s-range=-1:-0.2"], tmp / "average.csv"
     )
 
     from kreinshift import herglotz, oplog

@@ -71,6 +71,18 @@ class TestTestFunction:
         with pytest.raises(PreconditionError, match="finite"):
             build()
 
+    def test_polynomial_without_coefficients_refused(self):
+        with pytest.raises(PreconditionError, match="at least one coefficient"):
+            TestFunction.polynomial([])
+
+
+class TestPathCheck:
+    @pytest.mark.parametrize("s1, s2", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_non_finite_coupling_refused(self, s1, s2):
+        w = np.eye(2)
+        with pytest.raises(PreconditionError, match="is not finite"):
+            PerturbationPath(w, w, s1, s2)
+
 
 class TestWeakPairing:
     def test_frozen_half(self):
@@ -217,6 +229,18 @@ class TestDerivativeIdentity:
         with pytest.raises(PreconditionError, match="positive semidefinite"):
             derivative_identity_residual(random_hermitian(rng, 3), path, 0.5, 1j)
 
+    @pytest.mark.parametrize(
+        "s, z, name",
+        [(math.nan, 1j, "s"), (math.inf, 1j, "s"), (0.5, complex(1.0, math.inf), "z")],
+        ids=["s-nan", "s-inf", "z-inf"],
+    )
+    def test_non_finite_point_refused(self, s, z, name):
+        rng = np.random.default_rng(5)
+        h0 = random_hermitian(rng, 3)
+        path = unit_path(random_psd(rng, 3, 2))
+        with pytest.raises(PreconditionError, match=f"^{name}=.* is not finite"):
+            derivative_identity_residual(h0, path, s, z)
+
 
 class TestOperatorAverage:
     def test_scalar_reduces_to_plain_integral(self):
@@ -323,6 +347,18 @@ class TestOperatorIncrement:
         k = np.array([[1.0, 0.0], [0.5, 1.0]])
         f = TestFunction.polynomial([0.3, 1.0])
         assert operator_increment_residual(h0, k, s1, s2, f).residual < 1e-12
+
+    @pytest.mark.parametrize("which", ["eig-h0", "eig-h-end"])
+    def test_refuses_where_it_has_no_value(self, which):
+        # inside an exclusion zone of H0, and at an eigenvalue of
+        # H0 + s2*KK*, where the boundary matrix of the s2 end is singular
+        rng = np.random.default_rng(3)
+        h0 = random_hermitian(rng, 5)
+        k = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        base = h0 if which == "eig-h0" else h0 + 0.7 * (k @ k.conj().T)
+        lam = float(np.linalg.eigvalsh(base)[2])
+        with pytest.raises(PreconditionError, match="exclusion zone|singular"):
+            operator_average_increment(h0, k, 0.2, 0.7, lam)
 
     @pytest.mark.parametrize("s", [-0.4, -1.3])
     def test_negative_coupling_trace_is_counting_shift(self, s):

@@ -681,15 +681,6 @@ class TestCheckCommand:
         assert code == 0
         assert out == "".join(blocks) + "overall: PASS\n"
 
-    def test_deterministic_across_threads(self, capsys, monkeypatch):
-        outputs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("KREIN_SHIFT_THREADS", threads)
-            code, out, _ = run_cli(capsys, "check", "chain", "--seed", "7")
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-
     def test_unopenable_out_file_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("run_suite called before the --out file was opened")

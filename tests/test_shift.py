@@ -557,15 +557,6 @@ class TestProfile:
         prof = compute_profile(random_family, [lo - pad, hi + pad])
         assert np.all(np.abs(prof.xi) <= 1e-8)
 
-    def test_thread_count_does_not_change_values(self, random_family, monkeypatch):
-        grid = safe_grid(random_family, 20)
-        monkeypatch.setenv("KREIN_SHIFT_THREADS", "1")
-        p1 = compute_profile(random_family, grid, include_det=True)
-        monkeypatch.setenv("KREIN_SHIFT_THREADS", "8")
-        p8 = compute_profile(random_family, grid, include_det=True)
-        assert np.array_equal(p1.xi, p8.xi)
-        assert np.array_equal(p1.xi_det, p8.xi_det)
-
 
 class TestBatchedProfile:
     @staticmethod
