@@ -35,6 +35,7 @@ from .errors import PreconditionError
 from .herglotz import HerglotzFamily, SignBlock
 from .matkit import (
     SignedFactorization,
+    _require_finite,
     apply_spectral_function,
     as_matrix,
     frobenius,
@@ -45,7 +46,6 @@ from .matkit import (
 from .oplog import logm_dissipative
 from .shift import (
     IDENTITY_REL_TOL,
-    _require_finite,
     _shift_integral,
     counting_steps,
     step_integral,
@@ -291,10 +291,8 @@ def _operator_pairing(h0, k, f: TestFunction, s1: float, s2: float) -> OperatorA
 
     # Xi(lam, s2) - Xi(lam, s1) against f; a coupling too small to move any
     # eigenvalue leaves a single breakpoint and a zero integral
-    terms = _endpoint_terms(h0, k, s1, s2)
     rhs = hermitian_part(_shift_integral(
-        terms,
-        np.concatenate([terms[0][0].eig0.eigenvalues] + [t[0].eig_h.eigenvalues for t in terms]),
+        _endpoint_terms(h0, k, s1, s2),
         lambda lams: np.array([f(float(lam)) for lam in lams]),
     ))
     return OperatorAverageReport(float(frobenius(lhs - rhs)), lhs, rhs)

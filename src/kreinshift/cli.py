@@ -118,7 +118,7 @@ def _parse_f(spec: str) -> TestFunction:
 
 
 def _load_hermitian(path, what: str) -> np.ndarray:
-    m, _ = read_matrix(path)
+    m = read_matrix(path)
     if not is_hermitian(m, 1e-10):
         raise ParseError(f"{what} matrix in {path} is not Hermitian")
     return hermitian_part(m)
@@ -257,7 +257,7 @@ def _cmd_logm(args, stream) -> int:
     from .oplog import Branch, logm_antidissipative, logm_dissipative, logm_oracle_diag
 
     _check_flag("rel_tol", args.rel_tol)
-    t, _ = read_matrix(args.t)
+    t = read_matrix(args.t)
     branch = Branch.LN if args.branch == "ln" else Branch.LOG
     if branch is Branch.LN:
         # principal-branch diagnostic route through the eigendecomposition
@@ -318,7 +318,7 @@ def _cmd_op_average(args, stream) -> int:
     from .averaging import operator_average_residual, operator_increment_residual
 
     h0 = _load_hermitian(args.h0, "base")
-    k, _ = read_matrix(args.k)
+    k = read_matrix(args.k)
     if k.shape[0] != h0.shape[0]:
         raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, K has {k.shape[0]} rows")
     f = _parse_f(args.f)

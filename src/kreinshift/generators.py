@@ -23,9 +23,9 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * hermitian_part(a)
+    return hermitian_part(a)
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.ndarray:
@@ -46,17 +46,13 @@ def random_indefinite(rng: np.random.Generator, n: int, rank: int) -> np.ndarray
 
 
 def random_dissipative(
-    rng: np.random.Generator,
-    n: int,
-    min_strict: float = 0.05,
-    max_cond: float = 1e6,
-    allow_flat: bool = True,
+    rng: np.random.Generator, n: int, min_strict: float = 0.05, allow_flat: bool = True
 ) -> np.ndarray:
     """Invertible matrix with positive semidefinite imaginary part.
 
     Generic draws are non-normal.  Roughly every third draw gets a singular
     imaginary part (when ``allow_flat``), exercising the boundary of the
-    dissipative cone.  Resamples until the condition number is acceptable.
+    dissipative cone.  Resamples until the condition number is at most 1e6.
     """
     for _ in range(100):
         re = random_hermitian(rng, n)
@@ -66,19 +62,16 @@ def random_dissipative(
         else:
             im = random_psd(rng, n) + min_strict * np.eye(n)
         t = re + 1j * im
-        if np.linalg.cond(t) <= max_cond:
+        if np.linalg.cond(t) <= 1e6:
             return t
     raise RuntimeError("failed to draw a well-conditioned dissipative matrix")
 
 
 def random_pair(
-    rng: np.random.Generator,
-    dim_lo: int = 4,
-    dim_hi: int = 8,
-    scale: float = 1.0,
+    rng: np.random.Generator, dim_lo: int = 4, dim_hi: int = 8
 ) -> tuple[np.ndarray, np.ndarray]:
     """A random Hermitian base matrix and an indefinite perturbation of
     random rank between 2 and the dimension."""
     n = int(rng.integers(dim_lo, dim_hi + 1))
     rank = int(rng.integers(2, n + 1))
-    return random_hermitian(rng, n, scale), random_indefinite(rng, n, rank)
+    return random_hermitian(rng, n), random_indefinite(rng, n, rank)

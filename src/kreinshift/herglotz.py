@@ -46,6 +46,7 @@ from .errors import ConvergenceError, KreinShiftError, PreconditionError
 from .matkit import (
     HermitianEig,
     SignedFactorization,
+    _require_finite,
     as_matrix,
     eig_hermitian,
     frobenius,
@@ -94,7 +95,9 @@ class HerglotzFamily:
     H0, H+ = H0 + V+ and H = H0 + V are decomposed by one stacked
     ``eig_hermitian`` call; a pair whose sums overflow is refused.  The
     sorted joint spectra and their diameter, which set the exclusion zones,
-    are computed once there too.  Instances are immutable after
+    are computed once there too, as is one table of block facts that every
+    transfer matrix and inverse (``_transfer``) and each block's pair of
+    spectra (``block_spectra``) read.  Instances are immutable after
     construction and safe to share between threads.  The factorization
     fixes the auxiliary block sizes n_plus and n_minus; either block may be
     empty, in which case the corresponding transfer matrix is 0x0 with
@@ -126,8 +129,18 @@ class HerglotzFamily:
         self.eig0, self.eig_plus, self.eig_h = (
             HermitianEig(w, u) for w, u in zip(eig.eigenvalues, eig.vectors)
         )
-        # resolvent sandwiches reduce to diagonal sums through K in each basis
-        self._w0, self._wp, self._wh = eig.vectors.conj().swapaxes(-1, -2) @ k
+        # per base H0, H+, H: its eigenvalues E and W = U*K, so that
+        # K*(base - z)^(-1) K = W*(E - z)^(-1) W
+        self._bases = tuple(zip(eig.eigenvalues, eig.vectors.conj().swapaxes(-1, -2) @ k))
+        # the table, per block (None: the full block): its columns of K, the
+        # pair of bases whose shift it carries (0: H0, 1: H+, 2: H), and the
+        # signs D of the identity part and s of the sandwich of ``_transfer``
+        npl, j = factorization.n_plus, factorization.j_signs
+        self._blocks = {
+            None: (slice(None), 0, 2, j, 1.0),
+            SignBlock.PLUS: (slice(None, npl), 0, 1, j[:npl], 1.0),
+            SignBlock.MINUS: (slice(npl, None), 1, 2, -j[npl:], -1.0),
+        }
         s = self._spectra = np.sort(eig.eigenvalues.ravel())
         s.setflags(write=False)
         diam = float(s[-1] - s[0]) if s.size else 0.0
@@ -211,62 +224,62 @@ class HerglotzFamily:
             )
             raise PreconditionError(f"lambda={x!r} {where}")
 
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _quad(eigs: np.ndarray, w: np.ndarray, z) -> np.ndarray:
-        """W* diag(1/(eigs - z)) W, the resolvent sandwich.
+    def block_spectra(self, which: SignBlock) -> tuple:
+        """The spectra (start, end) of the pair whose shift the block
+        carries: (H0, H+) for PLUS, (H+, H) for MINUS."""
+        _, start, end, _, _ = self._blocks[which]
+        return self._bases[start][0], self._bases[end][0]
 
-        A scalar z gives one matrix; a 1-D array of m points gives the
-        stack of shape (m, r, r).
-        """
+    # ------------------------------------------------------------------
+    def _transfer(self, block: SignBlock | None, z, inverse: bool = False) -> np.ndarray:
+        """The transfer matrix of a block (None: the full block) at z from its
+        row of the table, D + s W*(E - z)^(-1) W on its columns of W in the
+        start of its pair, or its inverse D - s (W D)*(E - z)^(-1) (W D) in
+        the end (scaling by the signs D is exact).  A scalar z gives one
+        matrix, a 1-D array of m points the stack (m, r, r).  A z that is
+        not finite, or where E - z vanishes, is refused."""
+        cols, start, end, d, s = self._blocks[block]
+        eigs, w = self._bases[end if inverse else start]
+        w = w[:, cols] * d if inverse else w[:, cols]
         z = np.asarray(z, dtype=np.complex128)
+        _require_finite("z", z)
         denom = eigs - z[..., None]
         if denom.size and np.min(np.abs(denom)) < 1e-300:
             raise PreconditionError("z is an eigenvalue of the resolvent base")
-        return w.conj().T @ (w / denom[..., None])
+        q = w.conj().T @ (w / denom[..., None])
+        ident = np.diag(d.astype(np.complex128))
+        return ident - q if (s < 0) != inverse else ident + q
 
     def evaluate_phi(self, z) -> np.ndarray:
         """J + K*(H0 - z)^(-1) K on the full auxiliary block."""
-        return self.fact.j_matrix() + self._quad(self.eig0.eigenvalues, self._w0, z)
+        return self._transfer(None, z)
 
     def evaluate_phi_plus(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H0, H+) on the + block."""
-        npl = self.n_plus
-        q = self._quad(self.eig0.eigenvalues, self._w0[:, :npl], z)
-        return np.eye(npl, dtype=np.complex128) + q
+        return self._transfer(SignBlock.PLUS, z)
 
     def evaluate_phi_minus_tilde(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H+, H) on the - block; its negative
         has nonnegative imaginary part in the upper half-plane."""
-        npl = self.n_plus
-        q = self._quad(self.eig_plus.eigenvalues, self._wp[:, npl:], z)
-        return np.eye(self.n_minus, dtype=np.complex128) - q
+        return self._transfer(SignBlock.MINUS, z)
 
     def evaluate_block(self, which: SignBlock, z) -> np.ndarray:
         """The transfer matrix whose boundary value carries the shift data of
         the block: phi_plus for PLUS, phi_minus~ for MINUS."""
-        if which is SignBlock.PLUS:
-            return self.evaluate_phi_plus(z)
-        return self.evaluate_phi_minus_tilde(z)
+        return self._transfer(which, z)
 
     # closed-form inverses, used as independent cross-checks ------------
     def evaluate_phi_inverse(self, z) -> np.ndarray:
         """J - J K*(H - z)^(-1) K J."""
-        q = self._quad(self.eig_h.eigenvalues, self._wh, z)
-        s = self.fact.j_signs
-        return self.fact.j_matrix() - s[:, None] * q * s[None, :]
+        return self._transfer(None, z, inverse=True)
 
     def evaluate_phi_plus_inverse(self, z) -> np.ndarray:
         """I+ - K+*(H+ - z)^(-1) K+."""
-        npl = self.n_plus
-        q = self._quad(self.eig_plus.eigenvalues, self._wp[:, :npl], z)
-        return np.eye(npl, dtype=np.complex128) - q
+        return self._transfer(SignBlock.PLUS, z, inverse=True)
 
     def evaluate_phi_minus_tilde_inverse(self, z) -> np.ndarray:
         """I- + K-*(H - z)^(-1) K-."""
-        npl = self.n_plus
-        q = self._quad(self.eig_h.eigenvalues, self._wh[:, npl:], z)
-        return np.eye(self.n_minus, dtype=np.complex128) + q
+        return self._transfer(SignBlock.MINUS, z, inverse=True)
 
 
 class ShiftProjection(NamedTuple):

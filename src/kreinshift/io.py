@@ -1,8 +1,9 @@
 """Matrix files and CSV emission.
 
-A matrix file is a JSON document with fields ``dim`` (positive integer),
-``entries`` (row-major list of [re, im] pairs of finite numbers, dim*dim of
-them) and an optional ``label``; JSON booleans are not numbers here.
+A matrix file is a JSON document with fields ``dim`` (positive integer)
+and ``entries`` (row-major list of [re, im] pairs of finite numbers that
+fit a double, dim*dim of them); any other field, such as a ``label``, is
+ignored.  JSON booleans are not numbers here.
 Floats are serialized with the shortest representation that round-trips,
 so write-then-read reproduces every representable double bit for bit.
 CSV output uses the same float formatting, a dot decimal separator and no
@@ -26,24 +27,21 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def write_matrix(path, m: np.ndarray, label: str | None = None) -> None:
+def write_matrix(path, m: np.ndarray) -> None:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError(f"matrix files hold square matrices, got {m.shape}")
-    entries = []
-    for row in m:
-        for val in row:
-            entries.append([float(val.real), float(val.imag)])
+    entries = [[float(val.real), float(val.imag)] for val in m.ravel()]
     doc = {"dim": int(m.shape[0]), "entries": entries}
-    if label is not None:
-        doc["label"] = str(label)
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
-def read_matrix(path) -> tuple[np.ndarray, str | None]:
+def read_matrix(path) -> np.ndarray:
+    # ValueError: malformed JSON, text that is not UTF-8, or an integer with
+    # more digits than Python converts
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot parse matrix file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise ParseError(f"matrix file {path} lacks dim/entries fields")
@@ -62,11 +60,13 @@ def read_matrix(path) -> tuple[np.ndarray, str | None]:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(type(x) in (int, float) for x in pair)):
             raise ParseError(f"matrix file {path}: entry {i} is not a [re, im] pair of numbers")
-        vals[i] = complex(float(pair[0]), float(pair[1]))
+        try:
+            vals[i] = complex(float(pair[0]), float(pair[1]))
+        except OverflowError as exc:
+            raise ParseError(f"matrix file {path}: entry {i} does not fit a double") from exc
     if not np.all(np.isfinite(vals)):
         raise ParseError(f"matrix file {path}: entries must be finite")
-    label = doc.get("label")
-    return vals.reshape(dim, dim), (str(label) if label is not None else None)
+    return vals.reshape(dim, dim)
 
 
 def write_csv(fp, header, rows) -> None:

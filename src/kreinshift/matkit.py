@@ -37,6 +37,14 @@ HERMITIAN_RTOL = 1e-12
 SOLVE_COND_LIMIT = 1e14
 
 
+def _require_finite(name: str, points) -> None:
+    """Refuse a point, or an array of points, that is not finite."""
+    points = np.asarray(points)
+    bad = ~np.isfinite(points)
+    if bad.any():
+        raise PreconditionError(f"{name}={points[bad].ravel()[0].item()!r} is not finite")
+
+
 def check_tolerance(name: str, value: float) -> None:
     """Refuse a tolerance that is not a finite positive number: an infinite
     or NaN one would switch off the criterion it sets."""

@@ -29,6 +29,7 @@ from .errors import ConvergenceError, PreconditionError
 from .herglotz import HerglotzFamily, SignBlock, refuse_singular, shift_projection
 from .matkit import (
     _batches,
+    _require_finite,
     _sorted_unique,
     as_matrix,
     eig_hermitian,
@@ -76,14 +77,6 @@ DET_MAX_REFINEMENTS = 2000
 IDENTITY_REL_TOL = 1e-13
 # padding of the spectral hull on the grids, relative to its diameter
 GRID_MARGIN = 0.05
-
-
-def _require_finite(name: str, points) -> None:
-    """Refuse a point, or an array of points, that is not finite."""
-    points = np.asarray(points)
-    bad = ~np.isfinite(points)
-    if bad.any():
-        raise PreconditionError(f"{name}={points[bad].ravel()[0].item()!r} is not finite")
 
 
 # ----------------------------------------------------------------------
@@ -321,31 +314,26 @@ def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentit
     v1norm = trace_norm(fam.v)
 
     # the central differences of every z: the logarithms of each block at
-    # all 2 * len(zs) points as one stack
+    # all 2 * len(zs) points as one stack, against the resolvent traces
+    # tr(start - z)^(-1) - tr(end - z)^(-1) of the block's pair
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     _require_finite("z", zs)
     hs = 1e-5 * (1.0 + np.abs(zs))
     ws = np.concatenate([zs + hs, zs - hs])
 
-    def traced_logs(stack, take_log):
-        tr = np.trace(take_log(stack, IDENTITY_REL_TOL), axis1=1, axis2=2)
-        return (tr[: zs.size] - tr[zs.size :]) / (2.0 * hs)
-
-    d_plus = traced_logs(fam.evaluate_phi_plus(ws), logm_dissipative)
-    d_minus = traced_logs(fam.evaluate_phi_minus_tilde(ws), logm_antidissipative)
-    r0, rp, rh = (
-        1.0 / (e.eigenvalues - zs[:, None]) for e in (fam.eig0, fam.eig_plus, fam.eig_h)
-    )
-    lhs_plus = r0.sum(axis=1) - rp.sum(axis=1)
-    lhs_minus = rp.sum(axis=1) - rh.sum(axis=1)
-    fd_plus = float(np.max(np.abs(d_plus - lhs_plus), initial=0.0))
-    fd_minus = float(np.max(np.abs(d_minus - lhs_minus), initial=0.0))
+    fd = []
+    for which in SignBlock:
+        take_log = logm_dissipative if which is SignBlock.PLUS else logm_antidissipative
+        tr = np.trace(take_log(fam.evaluate_block(which, ws), IDENTITY_REL_TOL), axis1=1, axis2=2)
+        start, end = [(1.0 / (e - zs[:, None])).sum(axis=1) for e in fam.block_spectra(which)]
+        diff = (tr[: zs.size] - tr[zs.size :]) / (2.0 * hs)
+        fd.append(float(np.max(np.abs(diff - (start - end)), initial=0.0)))
 
     return TraceIdentityReport(
         trace_v_residual=abs(integral - tr_v),
         l1_slack=v1norm + 1e-8 - l1,
-        fd_plus_residual=fd_plus,
-        fd_minus_residual=fd_minus,
+        fd_plus_residual=fd[0],
+        fd_minus_residual=fd[1],
     )
 
 
@@ -487,12 +475,15 @@ def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
 # ----------------------------------------------------------------------
 # lam-integrals of shift operators
 
-def _shift_integral(terms, breakpoints, weight) -> np.ndarray:
+def _shift_integral(terms, weight) -> np.ndarray:
     """Integral of weight(lam) times the sum of w * Xi over (family, sign
     block, w) terms, Xi the block's shift operator, over the hull of the
-    breakpoints (``integrate_piecewise``), weight vectorized over lam; zero
-    when the breakpoints are one point."""
-    pts = _sorted_unique(breakpoints)
+    spectra of the blocks' pairs (``block_spectra``), which are the
+    breakpoints of ``integrate_piecewise``; weight vectorized over lam; zero
+    when those spectra are one point."""
+    pts = _sorted_unique(np.concatenate([
+        e for fam, which, _ in terms for e in fam.block_spectra(which)
+    ]))
 
     def integrand(lams):
         # read without the exclusion zones of the profiles: a small
@@ -519,11 +510,7 @@ def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
     target = logm_dissipative(fam.evaluate_phi_plus(z))
     if fam.n_plus == 0:
         return 0.0
-    val = _shift_integral(
-        [(fam, SignBlock.PLUS, 1.0)],
-        np.concatenate([fam.eig0.eigenvalues, fam.eig_plus.eigenvalues]),
-        lambda lams: 1.0 / (lams - z),
-    )
+    val = _shift_integral([(fam, SignBlock.PLUS, 1.0)], lambda lams: 1.0 / (lams - z))
     return float(frobenius(val - target))
 
 

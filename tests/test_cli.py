@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -24,9 +25,9 @@ SRC = str(Path(kreinshift.__file__).resolve().parent.parent)
 def matrix_files(tmp_path):
     paths = {}
 
-    def put(name, m, label=None):
+    def put(name, m):
         p = tmp_path / f"{name}.json"
-        write_matrix(p, np.asarray(m, dtype=complex), label)
+        write_matrix(p, np.asarray(m, dtype=complex))
         paths[name] = str(p)
 
     put("h0_scalar", np.zeros((1, 1)))
@@ -64,10 +65,12 @@ class TestMatrixFiles:
             ]
         )
         p = tmp_path / "m.json"
-        write_matrix(p, tricky, label="tricky")
-        back, label = read_matrix(p)
-        assert label == "tricky"
-        assert np.array_equal(back.view(np.float64), tricky.view(np.float64))
+        write_matrix(p, tricky)
+        assert np.array_equal(read_matrix(p).view(np.float64), tricky.view(np.float64))
+        # a file with a label still reads; the label is ignored
+        doc = json.loads(p.read_text())
+        p.write_text(json.dumps({"label": "tricky", **doc}))
+        assert np.array_equal(read_matrix(p).view(np.float64), tricky.view(np.float64))
 
     def test_parse_failures(self, tmp_path):
         from kreinshift.errors import ParseError
@@ -93,6 +96,16 @@ class TestMatrixFiles:
         boolentry.write_text('{"dim": 1, "entries": [[true, false]]}')
         with pytest.raises(ParseError, match="pair of numbers"):
             read_matrix(boolentry)
+
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_huge_integer_refused_with_exit_2(self, tmp_path, capsys, digits):
+        # 400 digits overflow a double; 5000 pass Python's limit on the
+        # digits of an integer string, which json.loads enforces
+        p = tmp_path / "huge.json"
+        p.write_text('{"dim": 1, "entries": [[' + "1" * digits + ", 0]]}")
+        code, out, err = run_cli(capsys, "logm", "--t", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_format_float_round_trip(self):
         for x in (0.1, -1e-308, 2.0**-52, 1e300, -0.0, 123456789.123456789):

@@ -125,6 +125,112 @@ class TestHerglotzProperty:
                 assert np.linalg.eigvalsh(imaginary_part(mt)).max() <= 1e-12
 
 
+TRANSFER_NAMES = (
+    "evaluate_phi",
+    "evaluate_phi_plus",
+    "evaluate_phi_minus_tilde",
+    "evaluate_phi_inverse",
+    "evaluate_phi_plus_inverse",
+    "evaluate_phi_minus_tilde_inverse",
+)
+
+
+def dense_transfer_matrices(fam: HerglotzFamily, z: complex) -> dict:
+    """The six transfer matrices and inverses at a scalar z, each from one
+    dense solve with the resolvent base it names."""
+    k, npl, n = fam.fact.k, fam.n_plus, fam.dim
+    j = np.diag(fam.fact.j_signs)
+    plus, minus = slice(None, npl), slice(npl, None)
+
+    def sandwich(base, cols):
+        return k[:, cols].conj().T @ np.linalg.solve(base - z * np.eye(n), k[:, cols])
+
+    return dict(zip(TRANSFER_NAMES, (
+        j + sandwich(fam.h0, slice(None)),
+        np.eye(npl) + sandwich(fam.h0, plus),
+        np.eye(fam.n_minus) - sandwich(fam.h_plus, minus),
+        j - j @ sandwich(fam.h, slice(None)) @ j,
+        np.eye(npl) - sandwich(fam.h_plus, plus),
+        np.eye(fam.n_minus) + sandwich(fam.h, minus),
+    )))
+
+
+def transfer_evaluators(fam: HerglotzFamily) -> list:
+    """The seven evaluators of transfer matrices of a family."""
+    return [getattr(fam, name) for name in TRANSFER_NAMES] + [
+        lambda z, which=which: fam.evaluate_block(which, z) for which in SignBlock
+    ]
+
+
+class TestTransferMatricesDense:
+    @pytest.fixture(params=["mixed", "empty-plus", "empty-minus"])
+    def family(self, request):
+        rng = np.random.default_rng(37)
+        h0 = random_hermitian(rng, 6)
+        c = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        v = {
+            "mixed": random_indefinite(rng, 6, 5),
+            "empty-plus": -(c @ c.conj().T),
+            "empty-minus": c @ c.conj().T,
+        }[request.param]
+        fam = HerglotzFamily.from_potential(h0, v)
+        if request.param == "mixed":
+            assert fam.n_plus >= 2 and fam.n_minus >= 2
+        else:
+            assert (fam.n_plus == 0) == (request.param == "empty-plus")
+            assert fam.rank == 3
+        return fam
+
+    def test_scalar_z(self, family):
+        for z in (0.3 + 0.8j, -1.7 - 0.2j, 2.5 + 1e-3j):
+            for name, want in dense_transfer_matrices(family, z).items():
+                got = getattr(family, name)(z)
+                assert got.shape == want.shape
+                assert frobenius(got - want) <= 1e-12 * max(1.0, frobenius(want)), name
+
+    def test_stack_of_z(self, family):
+        zs = np.array([0.3 + 0.8j, -1.7 - 0.2j, 2.5 + 1e-3j, 4.0j])
+        for name in TRANSFER_NAMES:
+            got = getattr(family, name)(zs)
+            for z, m in zip(zs, got):
+                want = dense_transfer_matrices(family, z)[name]
+                assert frobenius(m - want) <= 1e-12 * max(1.0, frobenius(want)), name
+
+    def test_blocks_read_their_transfer_matrices(self, family):
+        z = -0.6 + 0.9j
+        assert np.array_equal(family.evaluate_block(SignBlock.PLUS, z), family.evaluate_phi_plus(z))
+        assert np.array_equal(
+            family.evaluate_block(SignBlock.MINUS, z), family.evaluate_phi_minus_tilde(z)
+        )
+
+
+def test_block_spectra_are_the_pair_of_each_block():
+    rng = np.random.default_rng(39)
+    fam = HerglotzFamily.from_potential(random_hermitian(rng, 5), random_indefinite(rng, 5, 4))
+    for which, pair in (
+        (SignBlock.PLUS, (fam.eig0, fam.eig_plus)),
+        (SignBlock.MINUS, (fam.eig_plus, fam.eig_h)),
+    ):
+        spectra = fam.block_spectra(which)
+        assert len(spectra) == 2
+        for got, want in zip(spectra, pair):
+            assert np.array_equal(got, want.eigenvalues)
+
+
+@pytest.mark.parametrize(
+    "z", [complex(np.nan, 1.0), complex(1.0, np.inf), np.inf, np.array([1j, np.nan])],
+    ids=["nan+i", "1+inf*i", "inf", "stack"],
+)
+def test_non_finite_z_refused_by_every_evaluator(z):
+    rng = np.random.default_rng(38)
+    fam = HerglotzFamily.from_potential(random_hermitian(rng, 5), random_indefinite(rng, 5, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for evaluate in transfer_evaluators(fam):
+            with pytest.raises(PreconditionError, match="^z=.* is not finite"):
+                evaluate(z)
+
+
 class TestBoundaryLog:
     def test_scalar_values(self):
         fam = rank_one_family(1.0)

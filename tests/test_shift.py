@@ -634,15 +634,16 @@ class TestBatchedProfile:
         inside = np.flatnonzero((grid > spectra.min()) & (grid < spectra.max()))
         gap = [np.min(np.abs(spectra - grid[i])) for i in inside]
         k = int(inside[int(np.argmax(gap))])
-        evaluate = fam.evaluate_phi_plus
+        evaluate = fam.evaluate_block
 
-        def singular_at_k(z):
+        def singular_at_k(which, z):
             # phi_plus is exactly singular at grid[k] and nowhere else
-            out = evaluate(z)
-            out[np.asarray(z) == grid[k]] = 0.0
+            out = evaluate(which, z)
+            if which is SignBlock.PLUS:
+                out[np.asarray(z) == grid[k]] = 0.0
             return out
 
-        monkeypatch.setattr(fam, "evaluate_phi_plus", singular_at_k)
+        monkeypatch.setattr(fam, "evaluate_block", singular_at_k)
         prof = compute_profile(fam, grid, include_det=True)
         others = np.arange(grid.size) != k
         assert prof.grid[k] != grid[k]
