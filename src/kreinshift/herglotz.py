@@ -24,13 +24,14 @@ Richardson extrapolants differ by at most EPS_CONV_TOL = 1e-9 in Frobenius
 norm (the raw error is linear in eps, the extrapolated one quadratic, so
 the schedule meets that tolerance within its steps).  It starts at
 eps0 = min(EPS0, d) with EPS0 = 1e-2 and d the distance from lambda to the
-nearest eigenvalue of H0, H+ or H, where the block transfer matrices have
-their poles and their singular points: the expansion in eps holds for eps
-well below d, so a schedule that starts above d spends its steps before
-the expansion holds.  The logarithms of the whole schedule are one stacked
-logarithm (which ``oplog`` cuts into pieces when the block is large),
-scanned in order; if that stack raises, the heights are taken again one at
-a time, so the route raises only at a height that the scan reaches.
+nearest eigenvalue of the block's pair, (H0, H+) for the + block and
+(H+, H) for the - block, where its transfer matrix has its poles and its
+singular points: the expansion in eps holds for eps well below d, so a
+schedule that starts above d spends its steps before the expansion holds.
+The logarithms of the whole schedule are one stacked logarithm (which
+``oplog`` cuts into pieces when the block is large), scanned in order; if
+that stack raises, the heights are taken again one at a time, so the route
+raises only at a height that the scan reaches.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .matkit import (
     is_hermitian,
     sign_factorization,
 )
-from .oplog import logm_antidissipative, logm_dissipative
+from .oplog import DEFAULT_REL_TOL, logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
@@ -96,12 +97,12 @@ class HerglotzFamily:
     ``eig_hermitian`` call; a pair whose sums overflow is refused.  The
     sorted joint spectra and their diameter, which set the exclusion zones,
     are computed once there too, as is one table of block facts that every
-    transfer matrix and inverse (``_transfer``) and each block's pair of
-    spectra (``block_spectra``) read.  Instances are immutable after
-    construction and safe to share between threads.  The factorization
-    fixes the auxiliary block sizes n_plus and n_minus; either block may be
-    empty, in which case the corresponding transfer matrix is 0x0 with
-    trace zero.
+    transfer matrix and inverse (``_transfer``), each block's zones
+    (``near_spectrum``), pair (``block_spectra``) and logarithm
+    (``block_log``) read.  Instances are immutable and thread-safe.  The
+    factorization fixes the auxiliary block sizes n_plus and n_minus; either
+    block may be empty, in which case the corresponding transfer matrix is
+    0x0 with trace zero.
     """
 
     def __init__(self, h0, factorization: SignedFactorization):
@@ -116,13 +117,11 @@ class HerglotzFamily:
                 f"base dimension {self.h0.shape[0]}"
             )
         k = factorization.k
-        kplus = k[:, : factorization.n_plus]
-        self.v = factorization.reconstruct()
-        self.v_plus = hermitian_part(kplus @ kplus.conj().T)
+        kp = k[:, : factorization.n_plus]
+        self.v_plus, self.v = hermitian_part(kp @ kp.conj().T), factorization.reconstruct()
         # exactly Hermitian sums; one that overflows is refused, unwarned
         with np.errstate(over="ignore", invalid="ignore"):
-            self.h_plus = self.h0 + self.v_plus
-            self.h = self.h0 + self.v
+            self.h_plus, self.h = self.h0 + self.v_plus, self.h0 + self.v
         if not (np.isfinite(self.h_plus).all() and np.isfinite(self.h).all()):
             raise PreconditionError("H0 + V overflows: its entries are not finite")
         eig = eig_hermitian(np.stack([self.h0, self.h_plus, self.h]))
@@ -198,16 +197,17 @@ class HerglotzFamily:
     def exclusion_width(self) -> float:
         return EXCLUSION_RTOL * self._diameter
 
+    def _row(self, which: SignBlock) -> tuple:
+        """The table row of a sign block; anything else is refused."""
+        if not isinstance(which, SignBlock):
+            raise PreconditionError(f"which must be a SignBlock, not {which!r}")
+        return self._blocks[which]
+
     def near_spectrum(self, lam, which: SignBlock | None = None) -> np.ndarray:
-        """Whether each point of lam is not clear of the exclusion zones of
-        the spectra that the requested boundary value depends on (all three
-        when ``which`` is None); a point that is not finite is never clear."""
-        if which is SignBlock.PLUS:
-            eigs = self.eig0.eigenvalues
-        elif which is SignBlock.MINUS:
-            eigs = np.concatenate([self.eig0.eigenvalues, self.eig_plus.eigenvalues])
-        else:
-            eigs = self._spectra
+        """Whether each point of lam is not clear of the exclusion zones of the
+        block's poles, the start of its pair (H0 for PLUS, H+ for MINUS), or
+        of all three spectra (None); a point not finite is never clear."""
+        eigs = self._spectra if which is None else self._bases[self._row(which)[1]][0]
         lam = np.asarray(lam, dtype=float)
         clear = np.all(np.abs(eigs - lam[..., None]) > self.exclusion_width(), axis=-1)
         return ~(clear & np.isfinite(lam))
@@ -227,18 +227,25 @@ class HerglotzFamily:
     def block_spectra(self, which: SignBlock) -> tuple:
         """The spectra (start, end) of the pair whose shift the block
         carries: (H0, H+) for PLUS, (H+, H) for MINUS."""
-        _, start, end, _, _ = self._blocks[which]
+        _, start, end, _, _ = self._row(which)
         return self._bases[start][0], self._bases[end][0]
 
+    def block_log(self, which: SignBlock, z, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+        """Logarithm of ``evaluate_block(which, z)``: dissipative where the
+        row's sandwich is added (PLUS), anti-dissipative where subtracted."""
+        row = self._row(which)
+        take_log = logm_dissipative if row[4] > 0 else logm_antidissipative
+        return take_log(self._transfer(row, z), rel_tol)
+
     # ------------------------------------------------------------------
-    def _transfer(self, block: SignBlock | None, z, inverse: bool = False) -> np.ndarray:
-        """The transfer matrix of a block (None: the full block) at z from its
-        row of the table, D + s W*(E - z)^(-1) W on its columns of W in the
+    def _transfer(self, row: tuple, z, inverse: bool = False) -> np.ndarray:
+        """The transfer matrix at z of the block whose row of the table is
+        ``row``, D + s W*(E - z)^(-1) W on its columns of W in the
         start of its pair, or its inverse D - s (W D)*(E - z)^(-1) (W D) in
         the end (scaling by the signs D is exact).  A scalar z gives one
         matrix, a 1-D array of m points the stack (m, r, r).  A z that is
         not finite, or where E - z vanishes, is refused."""
-        cols, start, end, d, s = self._blocks[block]
+        cols, start, end, d, s = row
         eigs, w = self._bases[end if inverse else start]
         w = w[:, cols] * d if inverse else w[:, cols]
         z = np.asarray(z, dtype=np.complex128)
@@ -252,34 +259,34 @@ class HerglotzFamily:
 
     def evaluate_phi(self, z) -> np.ndarray:
         """J + K*(H0 - z)^(-1) K on the full auxiliary block."""
-        return self._transfer(None, z)
+        return self._transfer(self._blocks[None], z)
 
     def evaluate_phi_plus(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H0, H+) on the + block."""
-        return self._transfer(SignBlock.PLUS, z)
+        return self._transfer(self._blocks[SignBlock.PLUS], z)
 
     def evaluate_phi_minus_tilde(self, z) -> np.ndarray:
         """Transfer matrix of the pair (H+, H) on the - block; its negative
         has nonnegative imaginary part in the upper half-plane."""
-        return self._transfer(SignBlock.MINUS, z)
+        return self._transfer(self._blocks[SignBlock.MINUS], z)
 
     def evaluate_block(self, which: SignBlock, z) -> np.ndarray:
         """The transfer matrix whose boundary value carries the shift data of
         the block: phi_plus for PLUS, phi_minus~ for MINUS."""
-        return self._transfer(which, z)
+        return self._transfer(self._row(which), z)
 
     # closed-form inverses, used as independent cross-checks ------------
     def evaluate_phi_inverse(self, z) -> np.ndarray:
         """J - J K*(H - z)^(-1) K J."""
-        return self._transfer(None, z, inverse=True)
+        return self._transfer(self._blocks[None], z, inverse=True)
 
     def evaluate_phi_plus_inverse(self, z) -> np.ndarray:
         """I+ - K+*(H+ - z)^(-1) K+."""
-        return self._transfer(SignBlock.PLUS, z, inverse=True)
+        return self._transfer(self._blocks[SignBlock.PLUS], z, inverse=True)
 
     def evaluate_phi_minus_tilde_inverse(self, z) -> np.ndarray:
         """I- + K-*(H - z)^(-1) K-."""
-        return self._transfer(SignBlock.MINUS, z, inverse=True)
+        return self._transfer(self._blocks[SignBlock.MINUS], z, inverse=True)
 
 
 class ShiftProjection(NamedTuple):
@@ -337,13 +344,10 @@ def boundary_log(
     lam = float(lam)
     if route not in ("direct", "eps"):
         raise PreconditionError(f"unknown route {route!r}")
+    _, _, _, d, s = fam._row(which)
     fam.check_off_spectrum(lam, which)
-    plus = which is SignBlock.PLUS
-    if (fam.n_plus if plus else fam.n_minus) == 0:
-        return (
-            np.zeros((0, 0), dtype=np.complex128),
-            ConvergenceRecord("empty", 0, 0.0, True),
-        )
+    if not d.size:
+        return np.zeros((0, 0), dtype=np.complex128), ConvergenceRecord("empty", 0, 0.0, True)
 
     if route == "direct":
         # spectral calculus: log|M| + i*pi*P with P the shift projection of
@@ -352,19 +356,16 @@ def boundary_log(
         refuse_singular(sp.singular, [lam])
         u = sp.vectors[0]
         log_abs = (u * np.log(np.abs(sp.eigenvalues[0]))) @ u.conj().T
-        sign = 1.0 if plus else -1.0
-        val = log_abs + (sign * math.pi * 1j) * sp.projection[0]
+        val = log_abs + (s * math.pi * 1j) * sp.projection[0]
         return val, ConvergenceRecord("direct", 0, 0.0, True)
 
-    take_log = logm_dissipative if plus else logm_antidissipative
-    eps0 = min(EPS0, float(np.min(np.abs(fam.all_spectra() - lam))))
+    eps0 = min(EPS0, float(np.min(np.abs(np.concatenate(fam.block_spectra(which)) - lam))))
     heights = eps0 * EPS_FACTOR ** np.arange(EPS_STEPS)
     try:
-        logs = take_log(fam.evaluate_block(which, lam + 1j * heights))
+        logs = fam.block_log(which, lam + 1j * heights)
     except KreinShiftError:
-        logs = (take_log(fam.evaluate_block(which, lam + 1j * eps)) for eps in heights)
-    prev = None
-    prev_rich = None
+        logs = (fam.block_log(which, lam + 1j * eps) for eps in heights)
+    prev = prev_rich = None
     cauchy = np.inf
     for step, cur in enumerate(logs, start=1):
         if prev is not None:

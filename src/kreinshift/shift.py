@@ -39,7 +39,7 @@ from .matkit import (
     trace,
     trace_norm,
 )
-from .oplog import logm_antidissipative, logm_dissipative
+from .oplog import logm_dissipative
 from .quadrature import integrate_piecewise
 
 __all__ = [
@@ -92,11 +92,11 @@ def _chunks(fam: HerglotzFamily, count: int) -> list:
 def _ranks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
     """Ranks of the + and - shift operators at each point of the 1-D array
     lams, and whether either boundary matrix there is flagged singular:
-    one exclusion-zone check over the spectra both blocks read (H0 and H+),
-    then one batched ``shift_projection`` per block per ``_chunks`` slice.
-    A flagged point has no rank; callers move it or refuse it
-    (``refuse_singular``)."""
-    fam.check_off_spectrum(lams, SignBlock.MINUS)
+    each block's exclusion-zone check (H0 for +, H+ for -), then one batched
+    ``shift_projection`` per block per ``_chunks`` slice.  A flagged point
+    has no rank; callers move it or refuse it (``refuse_singular``)."""
+    for which in SignBlock:
+        fam.check_off_spectrum(lams, which)
     cols = []
     for s in _chunks(fam, lams.size):
         plus, minus = (shift_projection(fam.evaluate_block(b, lams[s])) for b in SignBlock)
@@ -107,8 +107,8 @@ def _ranks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
 def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
     """Shift operator of the pair (H0, H+) (PLUS) or (H+, H) (MINUS) at lam:
     the orthogonal projection onto the negative eigenspace of the boundary
-    matrix.  Raises PreconditionError inside the exclusion zones of the
-    spectra the block reads and where that matrix is singular."""
+    matrix.  Raises PreconditionError inside the zones of its poles (H0 for
+    PLUS, H+ for MINUS) and where it is singular."""
     lams = np.array([float(lam)])
     fam.check_off_spectrum(lams, which)
     sp = shift_projection(fam.evaluate_block(which, lams))
@@ -122,11 +122,11 @@ def xi_at(fam: HerglotzFamily, lam):
     float.  A scalar lam gives a float; an array of points gives the array
     of values.  Raises PreconditionError inside an exclusion zone of H0 or
     H+ and at a point where a boundary matrix is singular."""
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams = np.asarray(lam, dtype=float).ravel()
     plus, minus, singular = _ranks(fam, lams)
     refuse_singular(singular, lams)
     vals = (plus - minus).astype(float)
-    return float(vals[0]) if np.ndim(lam) == 0 else vals
+    return float(vals[0]) if np.ndim(lam) == 0 else vals.reshape(np.shape(lam))
 
 
 # ----------------------------------------------------------------------
@@ -213,7 +213,8 @@ def xi_via_det(fam: HerglotzFamily, lam):
     phase is the canonical one.  The phase is then tracked down a ladder of
     halving heights to a floor and on to the real axis, and every step whose
     phase moves by more than pi/2 is bisected.  No eigenvalue of H or H+ and
-    no matrix logarithm enters.
+    no matrix logarithm enters its values; its refusal, like the grids',
+    tests the exclusion zones of all three spectra (``near_spectrum``).
 
     A scalar lam gives a float; an array of points gives the array of
     values, of its shape.  Each point keeps its own ladder (down to its own floor), its
@@ -323,8 +324,7 @@ def trace_identity_checks(fam: HerglotzFamily, zs=(1.0 + 2.0j,)) -> TraceIdentit
 
     fd = []
     for which in SignBlock:
-        take_log = logm_dissipative if which is SignBlock.PLUS else logm_antidissipative
-        tr = np.trace(take_log(fam.evaluate_block(which, ws), IDENTITY_REL_TOL), axis1=1, axis2=2)
+        tr = np.trace(fam.block_log(which, ws, IDENTITY_REL_TOL), axis1=1, axis2=2)
         start, end = [(1.0 / (e - zs[:, None])).sum(axis=1) for e in fam.block_spectra(which)]
         diff = (tr[: zs.size] - tr[zs.size :]) / (2.0 * hs)
         fd.append(float(np.max(np.abs(diff - (start - end)), initial=0.0)))

@@ -15,7 +15,7 @@ from kreinshift.herglotz import (
 )
 from kreinshift.matkit import frobenius, imaginary_part, sign_factorization, trace_norm
 from kreinshift.oplog import DEFAULT_REL_TOL, logm_antidissipative, logm_dissipative
-from kreinshift.shift import safe_grid
+from kreinshift.shift import safe_grid, xi_at, xi_operator
 
 
 def rank_one_family(v: float) -> HerglotzFamily:
@@ -217,6 +217,89 @@ def test_block_spectra_are_the_pair_of_each_block():
             assert np.array_equal(got, want.eigenvalues)
 
 
+def mixed_family() -> HerglotzFamily:
+    """n = 5 under a rank-4 V with two positive and two negative directions."""
+    rng = np.random.default_rng(5)
+    fam = HerglotzFamily.from_potential(random_hermitian(rng, 5), random_indefinite(rng, 5, 4))
+    assert (fam.n_plus, fam.n_minus) == (2, 2)
+    return fam
+
+
+def test_each_block_has_the_zones_of_its_poles():
+    # the + block's transfer matrix has its poles on H0, the - block's on H+
+    fam = mixed_family()
+    width = fam.exclusion_width()
+    spectra = {
+        "h0": fam.eig0.eigenvalues, "plus": fam.eig_plus.eigenvalues, "h": fam.eig_h.eigenvalues,
+    }
+    for which, start in ((SignBlock.PLUS, "h0"), (SignBlock.MINUS, "plus")):
+        assert fam.near_spectrum(spectra[start], which).all()
+        others = np.concatenate([e for k, e in spectra.items() if k != start])
+        far = np.min(np.abs(others[:, None] - spectra[start]), axis=1) > width
+        assert far.sum() >= 5
+        assert not fam.near_spectrum(others[far], which).any()
+    assert fam.near_spectrum(np.concatenate(list(spectra.values()))).all()
+
+
+def test_block_log_takes_each_block_with_its_own_logarithm():
+    fam = mixed_family()
+    zs = np.array([0.3 + 0.2j, -1.0 + 1e-3j])
+    for which, evaluate, take_log in (
+        (SignBlock.PLUS, fam.evaluate_phi_plus, logm_dissipative),
+        (SignBlock.MINUS, fam.evaluate_phi_minus_tilde, logm_antidissipative),
+    ):
+        assert np.array_equal(fam.block_log(which, zs), take_log(evaluate(zs)))
+        assert np.array_equal(fam.block_log(which, zs, 1e-13), take_log(evaluate(zs), 1e-13))
+
+
+class TestMinusBlockAtAnEigenvalueOfH0:
+    # an eigenvalue of H0 is a point of no pole of the - block's transfer
+    # matrix: 0.188 from H+ and 0.698 from H
+    fam = mixed_family()
+    lam = float(fam.eig0.eigenvalues[2])
+
+    def test_shift_operator_is_the_negative_eigenspace(self):
+        w, u = np.linalg.eigh(self.fam.evaluate_phi_minus_tilde(self.lam))
+        want = (u[:, w < 0]) @ u[:, w < 0].conj().T
+        assert frobenius(xi_operator(self.fam, SignBlock.MINUS, self.lam) - want) <= 1e-12
+
+    def test_both_routes_of_the_boundary_log(self):
+        direct, _ = boundary_log(self.fam, SignBlock.MINUS, self.lam)
+        via_eps, rec = boundary_log(self.fam, SignBlock.MINUS, self.lam, route="eps")
+        # the schedule starts at EPS0, not at the distance 0 to H0
+        assert rec.route == "eps" and rec.converged and rec.cauchy > 0
+        assert frobenius(via_eps - direct) <= 1e-6
+
+    def test_the_plus_block_and_the_shift_function_still_refuse(self):
+        for read in (
+            lambda: xi_operator(self.fam, SignBlock.PLUS, self.lam),
+            lambda: boundary_log(self.fam, SignBlock.PLUS, self.lam),
+            lambda: xi_at(self.fam, self.lam),
+        ):
+            with pytest.raises(PreconditionError, match="exclusion zone"):
+                read()
+
+
+@pytest.mark.parametrize("which", [None, "plus"])
+def test_which_must_be_a_sign_block(which):
+    fam = HerglotzFamily.from_potential(*random_pair(np.random.default_rng(3), 5, 6))
+    lam = float(safe_grid(fam, 20)[3])
+    reads = [
+        lambda: fam.block_spectra(which),
+        lambda: fam.block_log(which, lam + 1j),
+        lambda: fam.evaluate_block(which, lam + 1j),
+        lambda: boundary_log(fam, which, lam),
+        lambda: boundary_log(fam, which, lam, route="eps"),
+        lambda: xi_operator(fam, which, lam),
+    ]
+    if which is not None:
+        # None asks near_spectrum for the zones of all three spectra
+        reads.append(lambda: fam.near_spectrum(lam, which))
+    for read in reads:
+        with pytest.raises(PreconditionError, match="must be a SignBlock"):
+            read()
+
+
 @pytest.mark.parametrize(
     "z", [complex(np.nan, 1.0), complex(1.0, np.inf), np.inf, np.array([1j, np.nan])],
     ids=["nan+i", "1+inf*i", "inf", "stack"],
@@ -399,14 +482,17 @@ class TestFamilyConstruction:
 
 def sequential_eps(fam, which, lam):
     """The eps route one height at a time from lone logarithms, starting at
-    EPS0 or, when nearer, at the distance to the nearest eigenvalue of H0,
-    H+ or H: the value and step where the Richardson iterates meet the
-    Cauchy tolerance, or None when the schedule runs out."""
+    EPS0 or, when nearer, at the distance to the nearest eigenvalue of the
+    block's pair, (H0, H+) for PLUS and (H+, H) for MINUS: the value and
+    step where the Richardson iterates meet the Cauchy tolerance, or None
+    when the schedule runs out."""
     if which is SignBlock.PLUS:
         evaluate, take_log = fam.evaluate_phi_plus, logm_dissipative
+        pair = (fam.eig0, fam.eig_plus)
     else:
         evaluate, take_log = fam.evaluate_phi_minus_tilde, logm_antidissipative
-    spectra = np.concatenate([fam.eig0.eigenvalues, fam.eig_plus.eigenvalues, fam.eig_h.eigenvalues])
+        pair = (fam.eig_plus, fam.eig_h)
+    spectra = np.concatenate([e.eigenvalues for e in pair])
     factor = herglotz.EPS_FACTOR
     prev = prev_rich = None
     eps = min(herglotz.EPS0, float(np.min(np.abs(spectra - lam))))

@@ -107,6 +107,36 @@ class TestXiAt:
                 xi_counting_oracle(random_family, lam), abs=1e-6
             )
 
+    def test_each_block_refuses_in_its_own_zones(self, random_family):
+        # the + block checks H0 first, then the - block H+: of a point at
+        # an eigenvalue of H+ and a later one at an eigenvalue of H0, the
+        # refusal names the second
+        fam = random_family
+        at_h0, at_plus = float(fam.eig0.eigenvalues[1]), float(fam.eig_plus.eigenvalues[3])
+        assert np.min(np.abs(fam.eig0.eigenvalues - at_plus)) > fam.exclusion_width()
+        with pytest.raises(PreconditionError, match=f"lambda={at_h0!r} lies within"):
+            xi_at(fam, np.array([at_plus, at_h0]))
+        with pytest.raises(PreconditionError, match=f"lambda={at_plus!r} lies within"):
+            xi_at(fam, at_plus)
+
+    def test_a_grid_of_two_dimensions_keeps_the_chunk_budget(self, random_family, monkeypatch):
+        fam = random_family
+        grid = safe_grid(fam, 8)[:8]
+        flat = xi_at(fam, grid)
+        per_point = 16 * fam.dim * max(fam.n_plus, fam.n_minus)
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 2 * per_point)
+        assert [s.stop - s.start for s in shift._chunks(fam, grid.size)] == [2] * 4
+        stacks = []
+
+        def recording(stack):
+            stacks.append(len(stack))
+            return shift_projection(stack)
+
+        monkeypatch.setattr(shift, "shift_projection", recording)
+        square = xi_at(fam, grid.reshape(2, 4))
+        assert stacks == [2] * 8
+        assert np.array_equal(square, flat.reshape(2, 4))
+
 
 class TestCountingOracle:
     def test_shifted_diagonal(self):
