@@ -43,7 +43,6 @@ from .matkit import (
     solve_shifted,
     trace,
 )
-from .oplog import logm_dissipative
 from .shift import (
     IDENTITY_REL_TOL,
     _shift_integral,
@@ -218,8 +217,8 @@ def derivative_identity_residual(h0, path: PerturbationPath, s: float, z: comple
 
     def tr_log(s_val: float) -> complex:
         # a psd slice has an empty - block up to rounding
-        phi = HerglotzFamily.from_potential(h0, path.v(s_val)).evaluate_phi_plus(z)
-        return trace(logm_dissipative(phi, IDENTITY_REL_TOL))
+        fam = HerglotzFamily.from_potential(h0, path.v(s_val))
+        return trace(fam.block_log(SignBlock.PLUS, z, IDENTITY_REL_TOL))
 
     fd = (tr_log(s + FD_STEP) - tr_log(s - FD_STEP)) / (2.0 * FD_STEP)
     rhs = trace(path.v1 @ solve_shifted(h0 + path.v(s), z, np.eye(h0.shape[0])))

@@ -182,12 +182,15 @@ def check_herglotz_property(seed: int) -> list:
         h0, v = random_pair(rng, 3, 6)
         fam = HerglotzFamily.from_potential(h0, v)
         z = complex(rng.uniform(-3, 3), rng.uniform(0.1, 3.0))
-        for m in (fam.evaluate_phi(z), fam.evaluate_phi_plus(z)):
+        # phi and phi_plus are Herglotz, phi_minus~ anti-Herglotz
+        for which in (None, *SignBlock):
+            m = fam.evaluate_block(which, z)
             if m.size:
-                neg.append(-float(np.linalg.eigvalsh(imaginary_part(m)).min()))
-        mt = fam.evaluate_phi_minus_tilde(z)
-        if mt.size:
-            pos.append(float(np.linalg.eigvalsh(imaginary_part(mt)).max()))
+                w = np.linalg.eigvalsh(imaginary_part(m))
+                if which is SignBlock.MINUS:
+                    pos.append(float(w.max()))
+                else:
+                    neg.append(-float(w.min()))
     return [
         _line_max("Im phi, Im phi_plus below 0 by", neg, 1e-12),
         _line_max("Im phi_minus above 0 by", pos, 1e-12),
@@ -201,19 +204,11 @@ def check_inverse_identities(seed: int) -> list:
         h0, v = random_pair(rng, 3, 6)
         fam = HerglotzFamily.from_potential(h0, v)
         z = complex(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
-        devs.append(
-            max(
-                frobenius(fam.evaluate_phi(z) @ fam.evaluate_phi_inverse(z) - np.eye(fam.rank)),
-                frobenius(
-                    fam.evaluate_phi_plus(z) @ fam.evaluate_phi_plus_inverse(z)
-                    - np.eye(fam.n_plus)
-                ),
-                frobenius(
-                    fam.evaluate_phi_minus_tilde(z) @ fam.evaluate_phi_minus_tilde_inverse(z)
-                    - np.eye(fam.n_minus)
-                ),
-            )
-        )
+        products = [
+            fam.evaluate_block(which, z) @ fam.evaluate_inverse(which, z)
+            for which in (None, *SignBlock)
+        ]
+        devs.append(max(frobenius(p - np.eye(p.shape[0])) for p in products))
     return [_line_max("closed-form inverse identities", devs, 1e-10, f"{len(devs)} draws")]
 
 
@@ -222,13 +217,11 @@ def check_decay(seed: int) -> list:
     h0, v = random_pair(rng, 4, 6)
     fam = HerglotzFamily.from_potential(h0, v)
     ys = (1e2, 1e3, 1e4)
-    scaled = [y * trace_norm(logm_dissipative(fam.evaluate_phi_plus(1j * y))) for y in ys]
+    scaled = [y * trace_norm(fam.block_log(SignBlock.PLUS, 1j * y)) for y in ys]
     variation = max(scaled) / min(scaled) - 1.0
     y_big = 1e6
-    lin = frobenius(logm_dissipative(fam.evaluate_phi_plus(1j * y_big))) / y_big
-    jvals = [
-        frobenius(fam.evaluate_phi(1j * y) - fam.fact.j_matrix()) * y for y in ys
-    ]
+    lin = frobenius(fam.block_log(SignBlock.PLUS, 1j * y_big)) / y_big
+    jvals = [frobenius(fam.evaluate_block(None, 1j * y) - fam.fact.j_matrix()) * y for y in ys]
     jvar = max(jvals) / min(jvals) - 1.0
     return [
         _line_max("trace-norm decay variation over y", [variation], 0.2),

@@ -12,7 +12,11 @@ Exit codes: 0 success, 1 mathematical check or convergence failure (an
 included, a ``logm`` argument past the range of the quadrature logarithm
 or whose round-trip residual is not finite, and an ``xi`` pair whose
 H0 + V or whose eigenvalues overflow, for example
-V = 1e308 * [[1, 0.9], [0.9, 1]]), 2 usage or parse error: a malformed or
+V = 1e308 * [[1, 0.9], [0.9, 1]], whose eigenvalues are finite but spread
+past the double range, as for H0 = diag(-1e308, 1e308), whose
+eigendecomposition LAPACK does not bring to convergence, or whose
+determinant route starts at a height 4 ||K||_F^2 that overflows, as for
+V = [[1.7e308]]), 2 usage or parse error: a malformed or
 unknown flag, grid, s-range, test function (a non-finite bound or
 parameter included) or ``check`` seed (a negative one included), an
 unreadable or non-Hermitian matrix file

@@ -55,7 +55,6 @@ from .matkit import (
     is_hermitian,
     sign_factorization,
 )
-from .oplog import DEFAULT_REL_TOL, logm_antidissipative, logm_dissipative
 
 __all__ = [
     "SignBlock",
@@ -96,9 +95,10 @@ class HerglotzFamily:
     H0, H+ = H0 + V+ and H = H0 + V are decomposed by one stacked
     ``eig_hermitian`` call; a pair whose sums overflow is refused.  The
     sorted joint spectra and their diameter, which set the exclusion zones,
-    are computed once there too, as is one table of block facts that every
-    transfer matrix and inverse (``_transfer``), each block's zones
-    (``near_spectrum``), pair (``block_spectra``) and logarithm
+    are computed once there too (a pair whose diameter overflows is
+    refused), as is one table of block facts that every transfer matrix
+    (``evaluate_block``) and inverse (``evaluate_inverse``), each block's
+    zones (``near_spectrum``), pair (``block_spectra``) and logarithm
     (``block_log``) read.  Instances are immutable and thread-safe.  The
     factorization fixes the auxiliary block sizes n_plus and n_minus; either
     block may be empty, in which case the corresponding transfer matrix is
@@ -142,7 +142,11 @@ class HerglotzFamily:
         }
         s = self._spectra = np.sort(eig.eigenvalues.ravel())
         s.setflags(write=False)
-        diam = float(s[-1] - s[0]) if s.size else 0.0
+        # Python floats, so that a difference past the double range is inf
+        # without a warning
+        diam = float(s[-1]) - float(s[0]) if s.size else 0.0
+        if not math.isfinite(diam):
+            raise PreconditionError("the spectral diameter of H0, H+ and H overflows")
         self._diameter = diam if diam > 0 else max(1.0, float(np.max(np.abs(s), initial=0.0)))
 
     @classmethod
@@ -230,22 +234,29 @@ class HerglotzFamily:
         _, start, end, _, _ = self._row(which)
         return self._bases[start][0], self._bases[end][0]
 
-    def block_log(self, which: SignBlock, z, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
+    def block_log(self, which: SignBlock, z, rel_tol: float | None = None) -> np.ndarray:
         """Logarithm of ``evaluate_block(which, z)``: dissipative where the
-        row's sandwich is added (PLUS), anti-dissipative where subtracted."""
+        row's sandwich is added (PLUS), anti-dissipative where subtracted;
+        ``rel_tol`` is the quadrature tolerance, ``oplog.DEFAULT_REL_TOL``
+        when None.  The logarithms are read from ``oplog`` at call time,
+        so the module is imported only by a caller that takes one."""
+        from . import oplog
+
         row = self._row(which)
-        take_log = logm_dissipative if row[4] > 0 else logm_antidissipative
-        return take_log(self._transfer(row, z), rel_tol)
+        take_log = oplog.logm_dissipative if row[4] > 0 else oplog.logm_antidissipative
+        if rel_tol is None:
+            rel_tol = oplog.DEFAULT_REL_TOL
+        return take_log(self.evaluate_block(which, z), rel_tol)
 
     # ------------------------------------------------------------------
-    def _transfer(self, row: tuple, z, inverse: bool = False) -> np.ndarray:
-        """The transfer matrix at z of the block whose row of the table is
-        ``row``, D + s W*(E - z)^(-1) W on its columns of W in the
+    def _transfer(self, which: SignBlock | None, z, inverse: bool = False) -> np.ndarray:
+        """The transfer matrix at z of the block ``which`` (None: the full
+        block), D + s W*(E - z)^(-1) W on the columns of W of its row in the
         start of its pair, or its inverse D - s (W D)*(E - z)^(-1) (W D) in
         the end (scaling by the signs D is exact).  A scalar z gives one
         matrix, a 1-D array of m points the stack (m, r, r).  A z that is
         not finite, or where E - z vanishes, is refused."""
-        cols, start, end, d, s = row
+        cols, start, end, d, s = self._blocks[None] if which is None else self._row(which)
         eigs, w = self._bases[end if inverse else start]
         w = w[:, cols] * d if inverse else w[:, cols]
         z = np.asarray(z, dtype=np.complex128)
@@ -257,36 +268,19 @@ class HerglotzFamily:
         ident = np.diag(d.astype(np.complex128))
         return ident - q if (s < 0) != inverse else ident + q
 
-    def evaluate_phi(self, z) -> np.ndarray:
-        """J + K*(H0 - z)^(-1) K on the full auxiliary block."""
-        return self._transfer(self._blocks[None], z)
+    def evaluate_block(self, which: SignBlock | None, z) -> np.ndarray:
+        """The transfer matrix of a block at z: phi = J + K*(H0 - z)^(-1) K
+        on the full block (None); phi_plus = I+ + K+*(H0 - z)^(-1) K+ for
+        PLUS and phi_minus~ = I- - K-*(H+ - z)^(-1) K- for MINUS, whose
+        boundary values carry the shift data of the pairs (H0, H+) and
+        (H+, H)."""
+        return self._transfer(which, z)
 
-    def evaluate_phi_plus(self, z) -> np.ndarray:
-        """Transfer matrix of the pair (H0, H+) on the + block."""
-        return self._transfer(self._blocks[SignBlock.PLUS], z)
-
-    def evaluate_phi_minus_tilde(self, z) -> np.ndarray:
-        """Transfer matrix of the pair (H+, H) on the - block; its negative
-        has nonnegative imaginary part in the upper half-plane."""
-        return self._transfer(self._blocks[SignBlock.MINUS], z)
-
-    def evaluate_block(self, which: SignBlock, z) -> np.ndarray:
-        """The transfer matrix whose boundary value carries the shift data of
-        the block: phi_plus for PLUS, phi_minus~ for MINUS."""
-        return self._transfer(self._row(which), z)
-
-    # closed-form inverses, used as independent cross-checks ------------
-    def evaluate_phi_inverse(self, z) -> np.ndarray:
-        """J - J K*(H - z)^(-1) K J."""
-        return self._transfer(self._blocks[None], z, inverse=True)
-
-    def evaluate_phi_plus_inverse(self, z) -> np.ndarray:
-        """I+ - K+*(H+ - z)^(-1) K+."""
-        return self._transfer(self._blocks[SignBlock.PLUS], z, inverse=True)
-
-    def evaluate_phi_minus_tilde_inverse(self, z) -> np.ndarray:
-        """I- + K-*(H - z)^(-1) K-."""
-        return self._transfer(self._blocks[SignBlock.MINUS], z, inverse=True)
+    def evaluate_inverse(self, which: SignBlock | None, z) -> np.ndarray:
+        """The closed-form inverse of ``evaluate_block(which, z)``, an
+        independent cross-check: J - J K*(H - z)^(-1) K J (None),
+        I+ - K+*(H+ - z)^(-1) K+ (PLUS), I- + K-*(H - z)^(-1) K- (MINUS)."""
+        return self._transfer(which, z, inverse=True)
 
 
 class ShiftProjection(NamedTuple):

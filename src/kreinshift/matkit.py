@@ -201,7 +201,8 @@ def eig_hermitian(a) -> HermitianEig:
     refusal of a stack names the index of the first that is not); it is
     symmetrized before factorization so that roundoff-level asymmetry is
     harmless.  Finite entries can overflow on the way to the eigenvalues; a
-    decomposition whose eigenvalues are not finite is refused.
+    decomposition whose eigenvalues are not finite is refused, as is one
+    that LAPACK does not bring to convergence.
     """
     m, single = _as_stack(a)
     asym, dev, limit = _asymmetry(m, HERMITIAN_RTOL)
@@ -213,7 +214,10 @@ def eig_hermitian(a) -> HermitianEig:
             f"{which} is not Hermitian: asymmetry {dev[i]:.3e} exceeds "
             f"{HERMITIAN_RTOL:g} * ||A||_F = {limit[i]:.3e}"
         )
-    w, u = np.linalg.eigh(hermitian_part(m))
+    try:
+        w, u = np.linalg.eigh(hermitian_part(m))
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"the Hermitian eigendecomposition failed: {exc}") from exc
     finite = np.isfinite(w).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))

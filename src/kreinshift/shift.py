@@ -39,8 +39,6 @@ from .matkit import (
     trace,
     trace_norm,
 )
-from .oplog import logm_dissipative
-from .quadrature import integrate_piecewise
 
 __all__ = [
     "ShiftProfile",
@@ -108,7 +106,9 @@ def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray
     """Shift operator of the pair (H0, H+) (PLUS) or (H+, H) (MINUS) at lam:
     the orthogonal projection onto the negative eigenspace of the boundary
     matrix.  Raises PreconditionError inside the zones of its poles (H0 for
-    PLUS, H+ for MINUS) and where it is singular."""
+    PLUS, H+ for MINUS) and where it is singular, and a which that is not a
+    SignBlock (the full block has no shift operator)."""
+    fam._row(which)  # refuses None, which evaluate_block takes
     lams = np.array([float(lam)])
     fam.check_off_spectrum(lams, which)
     sp = shift_projection(fam.evaluate_block(which, lams))
@@ -192,7 +192,7 @@ def _path_dets(fam: HerglotzFamily, lams: np.ndarray, heights: np.ndarray) -> np
     sign = (-1.0) ** fam.n_minus
     chunks = _batches(heights.size, 16 * fam.dim * fam.rank, PROFILE_CHUNK_BYTES, DET_CHUNK_MIN)
     d = np.concatenate([
-        sign * np.linalg.det(fam.evaluate_phi(lams[s] + 1j * heights[s])) for s in chunks
+        sign * np.linalg.det(fam.evaluate_block(None, lams[s] + 1j * heights[s])) for s in chunks
     ])
     if np.any(d == 0):
         lam = float(lams[np.flatnonzero(d == 0)[0]])
@@ -210,11 +210,12 @@ def xi_via_det(fam: HerglotzFamily, lam):
     only the spectrum of H0 and K.  At z = lam + i*eta_top, with
     eta_top = 4 ||K||_F^2 (= 4 ||V||_1 for a sign factorization), the
     logarithm of the determinant is below 1/3 in modulus, so its principal
-    phase is the canonical one.  The phase is then tracked down a ladder of
-    halving heights to a floor and on to the real axis, and every step whose
-    phase moves by more than pi/2 is bisected.  No eigenvalue of H or H+ and
-    no matrix logarithm enters its values; its refusal, like the grids',
-    tests the exclusion zones of all three spectra (``near_spectrum``).
+    phase is the canonical one (a K whose eta_top overflows is refused).
+    The phase is then tracked down a ladder of halving heights to a floor
+    and on to the real axis, and every step whose phase moves by more than
+    pi/2 is bisected.  No eigenvalue of H or H+ and no matrix logarithm
+    enters its values; its refusal, like the grids', tests the exclusion
+    zones of all three spectra (``near_spectrum``).
 
     A scalar lam gives a float; an array of points gives the array of
     values, of its shape.  Each point keeps its own ladder (down to its own floor), its
@@ -232,13 +233,19 @@ def xi_via_det(fam: HerglotzFamily, lam):
 def _det_phases(fam: HerglotzFamily, lams: np.ndarray) -> np.ndarray:
     """The determinant route at the 1-D array of points lams, over pi; see
     ``xi_via_det``."""
-    top = 4.0 * frobenius(fam.fact.k) ** 2
+    # inf, unwarned, where the norm or its square overflows
+    with np.errstate(over="ignore"):
+        top = 4.0 * float(np.linalg.norm(fam.fact.k) ** 2)
+    if not math.isfinite(top):
+        raise PreconditionError(
+            "the top height 4 ||K||_F^2 of the determinant route overflows double precision"
+        )
     eigs0 = fam.eig0.eigenvalues
     spread = float(eigs0[-1] - eigs0[0])
-    steps = np.array([
-        max(0, math.ceil(math.log2(top / (1e-10 * max(1.0, abs(x), spread, top)))))
-        for x in lams.tolist()
-    ])
+    # halvings from top to the floor 1e-10 * max(1, |x|, spread, top): none
+    # where their ratio is at most 1, as where it underflows to 0
+    ratios = [top / (1e-10 * max(1.0, abs(x), spread, top)) for x in lams.tolist()]
+    steps = np.array([math.ceil(math.log2(r)) if r > 1.0 else 0 for r in ratios])
     # every point's ladder, top * 2^-k down to its floor and then 0, back
     # to back in one flat array; owner[j] is the point of heights[j]
     ladder = top * 0.5 ** np.arange(steps.max() + 1)
@@ -456,6 +463,8 @@ def example_3_9(a: float, b: float, c: float, lam: float) -> ExampleReport:
     e2 = _projection_above(v2, lam)
     # independent route: imaginary part of log(I - V/lam) has the same
     # projection structure for lam > 0
+    from .oplog import logm_dissipative
+
     step = hermitian_part(
         imaginary_part(logm_dissipative(np.eye(2) - v1 / lam)) / math.pi
     )
@@ -481,6 +490,8 @@ def _shift_integral(terms, weight) -> np.ndarray:
     spectra of the blocks' pairs (``block_spectra``), which are the
     breakpoints of ``integrate_piecewise``; weight vectorized over lam; zero
     when those spectra are one point."""
+    from .quadrature import integrate_piecewise
+
     pts = _sorted_unique(np.concatenate([
         e for fam, which, _ in terms for e in fam.block_spectra(which)
     ]))
@@ -507,7 +518,7 @@ def herglotz_reconstruction_residual(fam: HerglotzFamily, z: complex) -> float:
     _require_finite("z", z)
     if z.imag == 0:
         raise PreconditionError("z must be off the real axis")
-    target = logm_dissipative(fam.evaluate_phi_plus(z))
+    target = fam.block_log(SignBlock.PLUS, z)
     if fam.n_plus == 0:
         return 0.0
     val = _shift_integral([(fam, SignBlock.PLUS, 1.0)], lambda lams: 1.0 / (lams - z))
@@ -638,7 +649,9 @@ class ShiftProfile:
 def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> ShiftProfile:
     """Evaluate the shift data over a grid.
 
-    Points inside an exclusion zone are snapped off it (``snap_grid``).  One
+    A grid of any shape is read as its points in order, flattened as
+    ``xi_at`` reads one, so the profile has one entry per point.  Points
+    inside an exclusion zone are snapped off it (``snap_grid``).  One
     ``_ranks`` read over the whole grid gives the ranks of both shift
     operators at every point.  A point where either boundary matrix is
     flagged singular is moved by the same doubling search, from the point
@@ -650,7 +663,7 @@ def compute_profile(fam: HerglotzFamily, grid, include_det: bool = False) -> Shi
     is one vectorized count over the grid; the determinant route
     (``include_det``) is one ``xi_via_det`` call over the whole grid.
     """
-    grid = snap_grid(fam, grid)
+    grid = snap_grid(fam, np.ravel(grid))
     plus, minus, moved = _ranks(fam, grid)
     if moved.any():
         nudge = _snapper(fam, lambda x: not _ranks(fam, np.array([x]))[2][0])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kreinshift import averaging, shift
+from kreinshift import averaging, quadrature
 from kreinshift.averaging import (
     PerturbationPath,
     TestFunction,
@@ -268,7 +268,7 @@ class TestOperatorAverage:
         def refuse(*args, **kwargs):
             raise AssertionError("integrate_piecewise called")
 
-        monkeypatch.setattr(shift, "integrate_piecewise", refuse)
+        monkeypatch.setattr(quadrature, "integrate_piecewise", refuse)
         rep = operator_average_residual(np.zeros((1, 1)), np.array([[1e-170]]), TestFunction.polynomial([1.0]))
         assert rep.residual == 0.0
         assert np.array_equal(rep.rhs, np.zeros((1, 1)))

@@ -268,6 +268,49 @@ class TestXiCommand:
         assert err == "error: the Hermitian eigendecomposition has non-finite eigenvalues [inf]\n"
 
     @pytest.mark.parametrize(
+        "h0, v, message",
+        [
+            # 4 ||K||_F^2, the top of the determinant route's ladder, overflows
+            ([[0.0]], [[1.7e308]], "the top height 4 ||K||_F^2 of the determinant route"),
+            # numpy's LAPACK does not bring this H0 to convergence
+            (
+                [[-2.7e-3, 1e146, -6.1e299, -0.88], [1e146, -0.59, 1.0, -1e8],
+                 [-6.1e299, 1.0, -2.36, -8.6e-9], [-0.88, -1e8, -8.6e-9, 0.0]],
+                np.diag([1.0, 0.0, 0.0, 0.0]),
+                "the Hermitian eigendecomposition failed: Eigenvalues did not converge",
+            ),
+            # finite eigenvalues whose spread is past the double range
+            (np.diag([-1e308, 1e308]), np.diag([1.0, 0.0]), "the spectral diameter"),
+        ],
+        ids=["det-top-height", "eigh-not-converged", "diameter"],
+    )
+    def test_unrepresentable_pair_exit_1_on_one_line(self, tmp_path, capsys, h0, v, message):
+        write_matrix(tmp_path / "h0.json", np.asarray(h0, dtype=complex))
+        write_matrix(tmp_path / "v.json", np.asarray(v, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "xi", "--h0", str(tmp_path / "h0.json"), "--v", str(tmp_path / "v.json")
+            )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_ladder_floor_past_the_top_exit_0(self, tmp_path, capsys):
+        # top / (1e-10 |lam|) underflows to 0 at lam = 1e300: no halving
+        write_matrix(tmp_path / "h0.json", np.zeros((1, 1), dtype=complex))
+        write_matrix(tmp_path / "v.json", np.array([[1e-300]], dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "xi", "--h0", str(tmp_path / "h0.json"), "--v", str(tmp_path / "v.json"),
+                "--grid=1e300:1e301:2",
+            )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["1e+300", "1e+301"]
+        assert all(row[5] == row[4] == "0.0" for row in rows)
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [("--rank-tol", "-1", "rank_tol"), ("--rank-tol", "nan", "rank_tol")],
     )

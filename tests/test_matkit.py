@@ -6,7 +6,7 @@ import pytest
 
 from kreinshift.errors import PreconditionError
 from kreinshift.generators import random_hermitian, random_unitary
-from kreinshift.herglotz import HerglotzFamily
+from kreinshift.herglotz import HerglotzFamily, SignBlock
 from kreinshift.matkit import (
     HERMITIAN_RTOL,
     SignedFactorization,
@@ -59,6 +59,14 @@ class TestEigHermitian:
     def test_rejects_non_finite(self):
         with pytest.raises(PreconditionError):
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+    def test_no_convergence_refused(self, monkeypatch):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        with pytest.raises(PreconditionError, match="eigendecomposition failed: Eigenvalues"):
+            eig_hermitian(np.eye(2))
 
     def test_stack_equals_per_matrix_calls(self):
         rng = np.random.default_rng(16)
@@ -318,7 +326,7 @@ class TestSignedFactorization:
         # block of phi is phi_plus
         fam = HerglotzFamily(np.diag([0.0, 1.0]), SignedFactorization(np.eye(2, dtype=complex), 1))
         z = 0.3 + 0.2j
-        assert np.array_equal(fam.evaluate_phi(z)[:1, :1], fam.evaluate_phi_plus(z))
+        assert np.array_equal(fam.evaluate_block(None, z)[:1, :1], fam.evaluate_block(SignBlock.PLUS, z))
         assert np.array_equal(fam.fact.j_matrix(), np.diag([1.0, -1.0]).astype(complex))
 
 

@@ -1,5 +1,6 @@
 import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,8 +191,8 @@ class TestXiViaDet:
         # determinant
         fam = random_family
         z = 0.37 + 0.81j
-        lhs = np.linalg.det(fam.evaluate_phi_plus(z)) * np.linalg.det(
-            fam.evaluate_phi_minus_tilde(z)
+        lhs = np.linalg.det(fam.evaluate_block(SignBlock.PLUS, z)) * np.linalg.det(
+            fam.evaluate_block(SignBlock.MINUS, z)
         )
         rhs = np.prod((fam.eig_h.eigenvalues - z) / (fam.eig0.eigenvalues - z))
         assert lhs == pytest.approx(rhs, rel=1e-10)
@@ -204,11 +205,12 @@ class TestXiViaDet:
         expected = [
             np.prod((fam.eig_h.eigenvalues - z) / (fam.eig0.eigenvalues - z)) for z in zs
         ]
-        batched = fam.evaluate_phi(zs)
+        batched = fam.evaluate_block(None, zs)
         assert batched.shape == (zs.size, fam.rank, fam.rank)
         for z, phi, want in zip(zs, batched, expected):
-            assert frobenius(phi - fam.evaluate_phi(z)) <= 1e-14 * frobenius(phi)
-            assert det_j * np.linalg.det(fam.evaluate_phi(z)) == pytest.approx(want, rel=1e-10)
+            lone = fam.evaluate_block(None, z)
+            assert frobenius(phi - lone) <= 1e-14 * frobenius(phi)
+            assert det_j * np.linalg.det(lone) == pytest.approx(want, rel=1e-10)
             assert det_j * np.linalg.det(phi) == pytest.approx(want, rel=1e-10)
 
     def test_independent_of_perturbed_spectra(self, random_family):
@@ -292,6 +294,24 @@ class TestDetRouteStack:
         monkeypatch.setattr(shift, "DET_MAX_REFINEMENTS", 0)
         with pytest.raises(ConvergenceError, match=r"after 0 bisections at lambda="):
             xi_via_det(clustered_family, safe_grid(clustered_family, 200))
+
+    def test_overflowing_top_height_refused_without_warnings(self):
+        # 4 ||K||_F^2 = 6.8e308 is past the double range
+        fam = rank_one_family(1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="top height"):
+                xi_via_det(fam, 1e305)
+
+    def test_floor_far_above_the_top_height_takes_no_halving(self):
+        # top / (1e-10 |lam|) = 4e-590 underflows to 0: no step down the
+        # ladder, the phase at the top is already the one on the axis
+        fam = rank_one_family(1e-300)
+        lams = np.array([1e300, 1e301])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = xi_via_det(fam, lams)
+        assert np.array_equal(vals, xi_counting_oracle(fam, lams).astype(float))
 
     def test_point_inside_exclusion_zone_refused(self, random_family):
         eig = float(random_family.eig0.eigenvalues[0])
@@ -587,6 +607,18 @@ class TestProfile:
         prof = compute_profile(random_family, [lo - pad, hi + pad])
         assert np.all(np.abs(prof.xi) <= 1e-8)
 
+    def test_a_grid_of_two_dimensions_is_read_flat(self, random_family):
+        # one entry per point, as for the same points in a row
+        grid = safe_grid(random_family, 8)[:8]
+        square = compute_profile(random_family, grid.reshape(2, 4), include_det=True)
+        flat = compute_profile(random_family, grid, include_det=True)
+        assert square.grid.shape == (8,)
+        assert len(square.xi_op_plus_eigs) == len(square.xi_op_minus_eigs) == 8
+        for name in ("grid", "xi", "xi_plus", "xi_minus", "xi_oracle", "xi_det"):
+            assert np.array_equal(getattr(square, name), getattr(flat, name)), name
+        for name in ("xi_op_plus_eigs", "xi_op_minus_eigs"):
+            assert all(map(np.array_equal, getattr(square, name), getattr(flat, name))), name
+
 
 class TestBatchedProfile:
     @staticmethod
@@ -636,8 +668,7 @@ class TestBatchedProfile:
             random_hermitian(rng, 40), random_indefinite(rng, 40, 20)
         )
         grid = auto_grid(fam)
-        plus = shift_projection(fam.evaluate_phi_plus(grid)).rank
-        minus = shift_projection(fam.evaluate_phi_minus_tilde(grid)).rank
+        plus, minus = (shift_projection(fam.evaluate_block(b, grid)).rank for b in SignBlock)
         prof = compute_profile(fam, grid)
         assert np.array_equal(prof.grid, grid)
         assert np.array_equal(prof.xi_plus, plus) and np.array_equal(prof.xi_minus, minus)
@@ -647,10 +678,7 @@ class TestBatchedProfile:
     def test_operator_eigenvalues_are_exact(self, random_family):
         grid = safe_grid(random_family, 50)
         prof = compute_profile(random_family, grid)
-        ranks = (
-            shift_projection(random_family.evaluate_phi_plus(grid)).rank,
-            shift_projection(random_family.evaluate_phi_minus_tilde(grid)).rank,
-        )
+        ranks = [shift_projection(random_family.evaluate_block(b, grid)).rank for b in SignBlock]
         assert ranks[0].any() and ranks[1].any()
         for col, rank in zip((prof.xi_op_plus_eigs, prof.xi_op_minus_eigs), ranks):
             for eigs, r in zip(col, rank):
