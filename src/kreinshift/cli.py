@@ -9,8 +9,10 @@ Commands:
 
 Exit codes: 0 success, 1 mathematical check or convergence failure (an
 ``average`` or ``op-average`` result that overflows double precision
-included, a ``logm`` argument past the range of the quadrature logarithm
-or whose round-trip residual is not finite, and an ``xi`` pair whose
+included, a ``logm`` argument past the range of the quadrature logarithm,
+whose norm overflows, whose ``--branch ln`` eigendecomposition fails or
+has an eigenvalue that is not finite, or whose round-trip residual is not
+finite, and an ``xi`` pair whose
 H0 + V or whose eigenvalues overflow, for example
 V = 1e308 * [[1, 0.9], [0.9, 1]], whose eigenvalues are finite but spread
 past the double range, as for H0 = diag(-1e308, 1e308), whose

@@ -59,7 +59,7 @@ def as_matrix(a) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and not np.all(np.isfinite(m)):
+    if m.size and not np.isfinite(m).all():
         raise PreconditionError("matrix entries must be finite")
     return m
 

@@ -16,19 +16,24 @@ the head [0, delta] the variable is mu itself; on the middle part
 so that every pole lies at least pi/2 from the real x-axis whatever its
 modulus (Trefethen & Weideman, SIAM Review 56, 2014); on the tail it is
 u = x - x_L past the end x_L = delta + ln(L/delta) of the middle part.  All
-parts are one batched solve of a(x) T + b(x) I per round of the
-quadrature.  The variable is scaled by a power of two that brings L within
-a factor sqrt(2) of 1, so the folded panel keeps its digits however large
+parts are one batched LU solve per round of the quadrature, one system
+per node x: (a(x) T + b(x) I) / w(x) against I - T, with the node's
+weight w = scale * Jacobian / (a + b) folded into the matrix, so that one
+matmul of the coefficients (a/w, b/w) over the rows [T; I] forms every
+system.  The variable is scaled by a power of two that brings L within a
+factor sqrt(2) of 1, so the folded panel keeps its digits however large
 ||T|| is.  The initial mesh is the head, panels of width ln 2 on the middle
 part (dyadic points delta * 2^k in mu) and the folded tail: about
 log2(L/delta) + 2 panels (log2(8 cond(T)) + 2 when smin(T) <= 1 <= 4||T||),
-on which nearly every logarithm converges in one round.  Each further round bisects panels at their midpoints, within a
-budget of MAX_PANELS = 1024 panels.  The relative tolerance,
+on which nearly every logarithm converges in one round.  Each further
+round bisects panels at their midpoints, within a budget of MAX_PANELS =
+1024 panels.  The relative tolerance,
 DEFAULT_REL_TOL = 1e-11 unless the caller passes ``rel_tol``, is the one
 setting of the quadrature.  The ratio 2 max(1, 4||T||) / min(smin(T), 1)
 of the ends of the mesh must be a double: a matrix past that range
 (||T|| above about 2.2e307, or smin(T) below about 1.1e-308) is refused
-with PreconditionError.
+with PreconditionError, as is one whose norm overflows (finite entries of
+modulus past the double range).
 
 Both logarithms also take a stack of matrices (m, n, n) and return the
 stack of their logarithms from one integral: one batched SVD and one
@@ -86,6 +91,8 @@ MAX_PANELS = 1024
 # round of the quadrature holds a few arrays of hundreds of abscissae times
 # this many complex numbers, so a longer stack is taken in pieces
 STACK_ENTRIES = 1024
+_TINY = np.finfo(float).tiny
+_LN2 = math.log(2.0)
 
 
 class Branch(enum.Enum):
@@ -123,23 +130,22 @@ def scalar_log(z, branch: Branch = Branch.LOG) -> complex:
     return cmath.log(z)
 
 
-def _margins(stack: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of Im(T) for each T of a non-empty stack."""
-    return np.linalg.eigvalsh(imaginary_part(stack))[:, 0]
+def _which(i: int, single: bool) -> str:
+    """How a refusal names item ``i`` of the caller's argument."""
+    return "matrix" if single else f"matrix {i} of the stack"
 
 
 def _require_dissipative(stack: np.ndarray, scale: np.ndarray, sign: int, single: bool) -> None:
     """Refuse the stack unless every Im(m) >= 0 within DISSIPATIVE_RTOL times
     its item's ``scale``; ``sign`` -1 means the items are the adjoints of
     the caller's anti-dissipative arguments."""
-    margin = _margins(stack)
+    margin = np.linalg.eigvalsh(imaginary_part(stack))[:, 0]
     bad = margin < -DISSIPATIVE_RTOL * scale
     if bad.any():
         i = int(np.argmax(bad))
-        what = "matrix" if single else f"matrix {i} of the stack"
         kind = "dissipative" if sign > 0 else "anti-dissipative"
         raise PreconditionError(
-            f"{what} is not {kind}: extremal eigenvalue of the imaginary part is "
+            f"{_which(i, single)} is not {kind}: extremal eigenvalue of the imaginary part is "
             f"{sign * margin[i]:.3e}, tolerance {DISSIPATIVE_RTOL:g} * ||T|| = "
             f"{DISSIPATIVE_RTOL * scale[i]:.3e}"
         )
@@ -154,14 +160,22 @@ def _logm(stack: np.ndarray, rel_tol: float, sign: int, single: bool) -> np.ndar
         return np.zeros(stack.shape, dtype=np.complex128)
     svals = np.linalg.svd(stack, compute_uv=False)
     smax, smin = svals[:, 0], svals[:, -1]
-    _require_dissipative(stack, np.maximum(smax, np.finfo(float).tiny), sign, single)
-    cond = np.divide(smax, smin, out=np.full(count, np.inf), where=smin > 0.0)
+    # the entries are finite, so a norm that is not is past the double range
+    finite = np.isfinite(smax)
+    if not finite.all():
+        raise PreconditionError(
+            f"{_which(int(np.argmin(finite)), single)} is past the double range of the "
+            "quadrature logarithm: its norm overflows"
+        )
+    _require_dissipative(stack, np.maximum(smax, _TINY), sign, single)
+    # a ratio past the double range reads inf, as a singular smin does
+    with np.errstate(over="ignore"):
+        cond = np.divide(smax, smin, out=np.full(count, np.inf), where=smin > 0.0)
     bad = cond > LOGM_COND_LIMIT
     if bad.any():
         i = int(np.argmax(bad))
-        what = "matrix" if single else f"matrix {i} of the stack"
         raise PreconditionError(
-            f"{what} is singular within working precision: condition estimate "
+            f"{_which(i, single)} is singular within working precision: condition estimate "
             f"{cond[i]:.3e} exceeds {LOGM_COND_LIMIT:.0e}"
         )
     batches = _batches(count, n * n, STACK_ENTRIES)
@@ -191,8 +205,15 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
             "2 max(1, 4||T||) / min(smin(T), 1) of its ends overflows"
         ) from None
     x_fold = delta + math.log(fold / delta)
-    residue = np.eye(n, dtype=np.complex128) - stack  # the difference of resolvents
-    # equals (T + i mu)^(-1) (I - T) / (1 + i mu), cancellation-free for T ~ I
+    # the rows [T; I] of every item, which one matmul of the coefficients of
+    # the nodes turns into their systems
+    basis = np.zeros((2, count, n * n), complex)
+    basis[0] = stack.reshape(count, -1)
+    basis[1, :, :: n + 1] = 1.0
+    basis = basis.reshape(2, -1)
+    # the difference of resolvents equals (T + i mu)^(-1) (I - T) / (1 + i mu),
+    # cancellation-free for T ~ I; the factor -i of log(T) rides along
+    residue = (-1j * (basis[1] - basis[0])).reshape(stack.shape)
 
     def integrand(xs):
         # head x <= delta: y = x; middle: y = delta * e^(x - delta), Jacobian
@@ -200,23 +221,27 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
         head, tail = xs <= delta, xs > x_fold
         # the tail reads x_fold, so no exponential of it overflows
         y = np.where(head, xs, delta * np.exp(np.minimum(xs, x_fold) - delta))
+        # a T + b I is T + i mu off the tail and u (T + i mu) = u T + i scale
+        # on it, u = x - x_fold
         a = np.where(tail, xs - x_fold, 1.0)
-        b = 1j * scale * np.where(tail, 1.0, y)
-        shifted = np.multiply(
-            a[:, None, None, None], stack, out=np.empty((xs.size, count, n, n), complex)
-        )
-        shifted.reshape(xs.size, count, -1)[:, :, :: n + 1] += b[:, None, None]
-        out = np.linalg.solve(shifted, np.broadcast_to(residue, shifted.shape))
-        out *= (scale * np.where(head | tail, 1.0, y) / (a + b))[:, None, None, None]
-        return out
+        y = np.where(tail, 1.0, y)
+        b = 1j * scale * y
+        # the node's weight w = scale * Jacobian / (a + b) divides the matrix
+        # a T + b I rather than multiplying the solution; 1/w is at most
+        # 2 / min(smin(T), 1) + 1 in modulus, within the mesh's range
+        inv_w = (a + b) / (scale * np.where(head, 1.0, y))
+        coef = np.empty((xs.size, 2), complex)
+        np.multiply(a, inv_w, out=coef[:, 0])
+        np.multiply(b, inv_w, out=coef[:, 1])
+        shifted = (coef @ basis).reshape(xs.size, count, n, n)
+        return np.linalg.solve(shifted, residue[None])
 
     # [0, delta], panels of width ln 2 in x (dyadic in mu) up to the fold,
     # then the folded tail; in x every pole of the middle part lies at least
     # pi/2 from the real axis
-    steps = delta + math.log(2.0) * np.arange(cells)
-    edges = [0.0, *steps[steps < x_fold].tolist(), x_fold, x_fold + 1.0 / fold]
-    val, _ = integrate_adaptive(integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS)
-    return -1j * val
+    steps = (delta + _LN2 * k for k in range(cells))
+    edges = [0.0, *(x for x in steps if x < x_fold), x_fold, x_fold + 1.0 / fold]
+    return integrate_adaptive(integrand, zip(edges[:-1], edges[1:]), rel_tol, MAX_PANELS)[0]
 
 
 def logm_dissipative(t, rel_tol: float = DEFAULT_REL_TOL) -> np.ndarray:
@@ -244,14 +269,22 @@ def logm_oracle_diag(t, branch: Branch = Branch.LOG) -> np.ndarray:
     """Independent logarithm through a general eigendecomposition.
 
     Requires a diagonalizable argument with a reasonably conditioned
-    eigenvector basis and eigenvalues off the chosen branch cut.  This is the
+    eigenvector basis and eigenvalues off the chosen branch cut.  A
+    decomposition that fails or whose eigenvalues are not finite (finite
+    entries near the top of the double range) is refused.  This is the
     cross-check route; the integral representation above is the method of
     record.
     """
     m = as_matrix(t)
     if m.shape[0] == 0:
         return np.zeros((0, 0), dtype=np.complex128)
-    w, s = np.linalg.eig(m)
+    try:
+        w, s = np.linalg.eig(m)
+    except np.linalg.LinAlgError as exc:
+        raise PreconditionError(f"the eigendecomposition failed: {exc}") from exc
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise PreconditionError(f"the eigendecomposition has non-finite eigenvalues {w[~finite]}")
     cond = np.linalg.cond(s)
     if not np.isfinite(cond) or cond > ORACLE_COND_LIMIT:
         raise PreconditionError(

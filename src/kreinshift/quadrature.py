@@ -7,10 +7,13 @@ left-endpoint order (ends, values, error estimates, masses) and refined in
 rounds, after the round-based idiom of scipy's ``quad_vec``: each round
 bisects the panels with the largest estimates until those left unsplit sum
 to at most half the tolerance, and evaluates all new panels in one call of
-the batched integrand.  The Kronrod and Gauss sums, norms and masses of a
-round are einsum contractions over (panels, 15 nodes, values).  Sums run
-in left-endpoint order, so results are bit-stable however the caller
-orders the segments.
+the batched integrand.  Values are read as their float view (real and
+imaginary parts side by side): one real matmul of the two rows [Kronrod;
+Kronrod - Gauss] over (panels, 15 nodes, values) gives every panel's sum
+and its difference of the two rules, and the estimates, masses and each
+round's tolerance are norms of that same view.  Sums run in left-endpoint
+order, so results are bit-stable however the caller orders the
+segments.
 
 The leading axis of the integrand's values (after the abscissae) holds a
 stack of independent integrals that share one mesh.  Each item keeps its
@@ -98,10 +101,16 @@ _GAUSS_W = np.array(
     ]
 )
 
+# the Kronrod weights and the Kronrod minus Gauss weights: one real matmul
+# over the float view of a panel's values gives its sum and the difference
+# of the two rules
+_RULES = np.stack([_KRONROD_W, _KRONROD_W - _GAUSS_W])
+
 # Termination floor: relative criteria cannot beat roundoff in the panel
 # sums, which scales with the absolute mass of the integrand rather than
 # with the (possibly cancelling) result.
 _EPS_FLOOR = 256 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # tolerances and panel budget of ``integrate_piecewise``, which takes the
 # lam-integrals of shift operators
 LAM_REL_TOL = 1e-7
@@ -118,31 +127,29 @@ class PanelInfo:
 
 
 def _panels(f, lo: np.ndarray, hi: np.ndarray):
-    """Kronrod values (panels, values), error estimates and masses
-    (panels, items) of the panels [lo, hi], all evaluated in one call of
-    ``f``, and the shape (items, ...) of one value of f.  Raises ConvergenceError when a
-    panel's value or estimate is not finite, which no bisection repairs."""
+    """Kronrod sums (panels, 2 * values), real and imaginary parts side by
+    side, error estimates and masses (panels, items) of the panels [lo, hi],
+    all evaluated in one call of ``f``, and the shape (items, ...) of one
+    value of f.  Raises ConvergenceError when a panel's value or estimate
+    is not finite, which no bisection repairs."""
     half = 0.5 * (hi - lo)
     xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
     vals = np.ascontiguousarray(f(xs.ravel()), dtype=np.complex128)
     shape = vals.shape[1:]
-    items = shape[0]
-    vals = vals.reshape(lo.size, _NODES.size, -1)
-    ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
-    ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
-    errs = np.linalg.norm((ik - ig).reshape(lo.size, items, -1), axis=2)
-    # a value that is not finite leaves its estimate not finite too
-    finite = np.isfinite(errs).all(axis=1)
-    if not finite.all():
+    re_im = vals.view(np.float64).reshape(lo.size, _NODES.size, shape[0], -1)
+    sums = _RULES @ re_im.reshape(lo.size, _NODES.size, -1)
+    sums *= half[:, None, None]
+    value, diff = sums[:, 0], sums[:, 1].reshape(lo.size, shape[0], -1)
+    errs = np.sqrt(np.einsum("pbv,pbv->pb", diff, diff))
+    if not (np.isfinite(value).all() and np.isfinite(errs).all()):
+        finite = np.isfinite(value).all(axis=1) & np.isfinite(errs).all(axis=1)
         p = int(np.argmin(finite))
         raise ConvergenceError(
             f"quadrature panel [{lo[p]:g}, {hi[p]:g}] has a value or error estimate "
             "that is not finite"
         )
-    re_im = vals.view(np.float64).reshape(lo.size, _NODES.size, items, -1)
-    mags = np.sqrt(np.einsum("pkbv,pkbv->pbk", re_im, re_im))
-    mass = half[:, None] * (mags.reshape(-1, _NODES.size) @ _KRONROD_W).reshape(lo.size, items)
-    return ik, errs, mass, shape
+    mags = np.sqrt(np.einsum("pkbv,pkbv->pkb", re_im, re_im))
+    return value, errs, half[:, None] * (_KRONROD_W @ mags), shape
 
 
 def integrate_adaptive(
@@ -175,16 +182,18 @@ def integrate_adaptive(
     if ends.size == 0:
         raise ConvergenceError("no integration segments supplied")
     lo, hi = ends[:, 0], ends[:, 1]
-    floor = max(abs_tol, np.finfo(float).tiny)
+    floor = max(abs_tol, _TINY)
     vals, errs, masses, shape = _panels(f, lo, hi)
     while True:
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
-        tol = rel_tol * np.linalg.norm(total.reshape(err.size, -1), axis=1)
+        parts = total.reshape(err.size, -1)
+        tol = rel_tol * np.sqrt(np.einsum("bv,bv->b", parts, parts))
         np.maximum(tol, floor, out=tol)
         np.maximum(tol, _EPS_FLOOR * masses.sum(axis=0), out=tol)
         if (err <= tol).all():
-            return total.reshape(shape), PanelInfo(lo.size, max(err.tolist(), default=0.0))
+            value = total.view(np.complex128).reshape(shape)
+            return value, PanelInfo(lo.size, max(err.tolist(), default=0.0))
         if lo.size >= max_panels:
             worst = int(np.argmax(err / tol))
             where = f" in item {worst} of {err.size}" if err.size > 1 else ""

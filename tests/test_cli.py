@@ -470,6 +470,42 @@ class TestLogmCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "dim, entries, branch, message",
+        [
+            # smax / smin = 1.4e300 / 1.4e-10 overflows
+            (
+                2, [[1e300, 1e300], [0, 0], [0, 0], [1e-10, 1e-10]], "log",
+                "matrix is singular within working precision",
+            ),
+            # the modulus 1.97e308 of the entry overflows, and so does the norm
+            (
+                1, [[1e308, 1.7e308]], "log",
+                "matrix is past the double range of the quadrature logarithm",
+            ),
+            (1, [[1e308, 1.7e308]], "ln", "the eigendecomposition has non-finite eigenvalues"),
+            # LAPACK's eig returns an infinite eigenvalue
+            (
+                3,
+                [[-1e308, 1], [-1e308, 5e-324], [1e200, 1e-308], [1.7e308, -1e200],
+                 [0, 1.7e308], [1, 1], [1e-308, 5e-324], [5e-324, 1e-200], [5e-324, -1e308]],
+                "ln",
+                "the eigendecomposition has non-finite eigenvalues",
+            ),
+        ],
+        ids=["cond-overflows", "norm-overflows", "ln-nan-eigenvalue", "ln-inf-eigenvalue"],
+    )
+    def test_overflowing_argument_exit_1_on_one_line(
+        self, tmp_path, capsys, dim, entries, branch, message
+    ):
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps({"dim": dim, "entries": entries}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "logm", "--t", str(p), "--branch", branch)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("z, branch", [(2e307j, "log"), (1e308j, "ln")])
     def test_near_range_end_exit_0(self, tmp_path, capsys, z, branch):
         # the norms of the round trip are taken scaled by the power of two

@@ -177,6 +177,45 @@ class TestLogmDissipative:
             assert len(calls) == 1
             assert frobenius(logm - logm_oracle_diag(t)) <= 1e-12
 
+    def test_one_round_for_stacks_with_singular_imaginary_parts(self, monkeypatch):
+        # the same for stacks of random draws, a third of them with a
+        # singular imaginary part, at every n = 2..10
+        rng = np.random.default_rng(1)
+        calls = []
+        panels = quadrature._panels
+        monkeypatch.setattr(
+            quadrature, "_panels", lambda *args: calls.append(1) or panels(*args)
+        )
+        for n in range(2, 11):
+            stack = np.array([random_dissipative(rng, n) for _ in range(4)])
+            calls.clear()
+            logs = logm_dissipative(stack)
+            assert len(calls) == 1
+            for t, logm in zip(stack, logs):
+                assert frobenius(logm - logm_oracle_diag(t)) <= 1e-11
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["matrix", "stack"])
+    def test_overflowing_norm_refused_without_warnings(self, stacked):
+        # finite entries whose modulus 1.97e308 overflows: the SVD returns
+        # NaN, which is a norm past the range, not a singular matrix
+        t = np.array([[1e308 + 1.7e308j]])
+        arg = np.array([2j * np.eye(1), t]) if stacked else t
+        what = "matrix 1 of the stack" if stacked else "matrix"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match=f"^{what} is past the double range"):
+                logm_dissipative(arg)
+            with pytest.raises(PreconditionError, match=f"^{what} is past the double range"):
+                logm_antidissipative(arg.conj().swapaxes(-1, -2))
+
+    def test_overflowing_condition_estimate_refused_without_warnings(self):
+        # smax / smin = 1.4e300 / 1.4e-10 overflows: singular, unwarned
+        t = np.diag([1e300 + 1e300j, 1e-10 + 1e-10j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="singular.*condition estimate inf"):
+                logm_dissipative(t)
+
     def test_rejects_non_dissipative(self):
         with pytest.raises(PreconditionError, match="not dissipative"):
             logm_dissipative(np.array([[-1j]]))
@@ -207,6 +246,38 @@ class TestLogmOracle:
     def test_defective_rejected(self):
         with pytest.raises(PreconditionError):
             logm_oracle_diag(np.array([[1j, 1.0], [0.0, 1j]]))
+
+    @pytest.mark.parametrize(
+        "t, shown",
+        [
+            (np.array([[1e308 + 1.7e308j]]), "nan+nanj"),
+            (
+                np.array([
+                    [-1e308 + 1j, -1e308 + 5e-324j, 1e200 + 1e-308j],
+                    [1.7e308 - 1e200j, 1.7e308j, 1 + 1j],
+                    [1e-308 + 5e-324j, 5e-324 + 1e-200j, 5e-324 - 1e308j],
+                ]),
+                "+infj",
+            ),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_eigenvalues_refused_without_warnings(self, t, shown):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="non-finite eigenvalues") as exc:
+                logm_oracle_diag(t, Branch.LN)
+        assert shown in str(exc.value)
+
+    def test_failed_decomposition_refused(self, monkeypatch):
+        def fail(m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", fail)
+        with pytest.raises(
+            PreconditionError, match="the eigendecomposition failed: Eigenvalues did not converge"
+        ):
+            logm_oracle_diag(2j * np.eye(2))
 
 
 class TestLogmAntidissipative:

@@ -12,6 +12,7 @@ from kreinshift.quadrature import (
     LAM_MAX_PANELS,
     LAM_REL_TOL,
     PanelInfo,
+    _panels,
     integrate_adaptive,
     integrate_piecewise,
 )
@@ -53,6 +54,52 @@ class TestRule:
         for d in range(degree + 1):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
             assert abs(math.fsum(weights * _NODES**d) - exact) <= 4 * np.spacing(2.0), d
+
+
+def _reference_panels(f, lo, hi):
+    """Kronrod sums, estimates and masses of the panels [lo, hi] by two
+    complex einsum contractions, as the rule defines them: the estimate is
+    the Frobenius norm of Kronrod minus Gauss per item, the mass the
+    Kronrod sum of the Frobenius norms of the item's values."""
+    half = 0.5 * (hi - lo)
+    xs = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    vals = np.asarray(f(xs.ravel()), dtype=complex)
+    items = vals.shape[1]
+    vals = vals.reshape(lo.size, _NODES.size, -1)
+    ik = half[:, None] * np.einsum("k,pkv->pv", _KRONROD_W, vals)
+    ig = half[:, None] * np.einsum("k,pkv->pv", _GAUSS_W, vals)
+    errs = np.linalg.norm((ik - ig).reshape(lo.size, items, -1), axis=2)
+    mags = np.linalg.norm(vals.reshape(lo.size, _NODES.size, items, -1), axis=3)
+    mass = half[:, None] * np.einsum("k,pkb->pb", _KRONROD_W, mags)
+    return ik, errs, mass
+
+
+class TestPanels:
+    """One real matmul over the float view of the values against the two
+    complex contractions it replaces."""
+
+    @pytest.mark.parametrize("items", [1, 5])
+    def test_matches_the_two_einsum_reference(self, items):
+        rng = np.random.default_rng(40 + items)
+        lo = np.sort(rng.uniform(-3.0, 3.0, 9))
+        hi = lo + rng.uniform(0.05, 2.0, 9)
+        freq = rng.standard_normal((items, 3, 4)) + 1j * rng.standard_normal((items, 3, 4))
+        phase = rng.standard_normal((items, 3, 4))
+        weight = 10.0 ** rng.uniform(-6.0, 6.0, (items, 1, 1))
+
+        def f(xs):
+            return weight * np.exp(1j * (xs[:, None, None, None] * freq + phase))
+
+        vals, errs, mass, shape = _panels(f, lo, hi)
+        want_vals, want_errs, want_mass = _reference_panels(f, lo, hi)
+        assert shape == (items, 3, 4)
+        got = np.ascontiguousarray(vals).view(complex).reshape(lo.size, items, -1)
+        # every sum, its difference of the rules and its norms stay below the
+        # item's mass on the panel, so a few ulps of that bound them all
+        scale = 8 * np.finfo(float).eps * want_mass
+        assert np.all(np.abs(got - want_vals.reshape(lo.size, items, -1)) <= scale[:, :, None])
+        assert np.all(np.abs(errs - want_errs) <= scale)
+        assert np.all(np.abs(mass - want_mass) <= scale)
 
 
 class TestIntegrateAdaptive:
