@@ -27,11 +27,10 @@ is not finite and positive, or an output file that cannot be opened.
 Each command takes only the flags it reads:
 ``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
 opened (or refused) before any work is done.  Every grid is evaluated in
-one process and thread, as batched numpy arrays; KREIN_SHIFT_THREADS is
-ignored.  Each command runs numpy's OpenBLAS at one thread and gives the
-caller's thread count back after, so its output is the same bytes at any
-OPENBLAS_NUM_THREADS; under a BLAS without an OpenBLAS thread setter that
-is not promised.
+one process and thread, as batched numpy arrays.  Each command runs
+numpy's OpenBLAS at one thread and gives the caller's thread count back
+after, so its output is the same bytes at any OPENBLAS_NUM_THREADS; under
+a BLAS without an OpenBLAS thread setter that is not promised.
 
 Each command imports only the layers it runs (``xi`` the family and the
 profiles, ``logm`` the logarithm, ``check`` the suites, ``average`` and

@@ -99,10 +99,13 @@ class HerglotzFamily:
     refused), as is one table of block facts that every transfer matrix
     (``evaluate_block``) and inverse (``evaluate_inverse``), each block's
     zones (``near_spectrum``), pair (``block_spectra``) and logarithm
-    (``block_log``) read.  Instances are immutable and thread-safe.  The
-    factorization fixes the auxiliary block sizes n_plus and n_minus; either
-    block may be empty, in which case the corresponding transfer matrix is
-    0x0 with trace zero.
+    (``block_log``) read.  No method changes an instance after
+    construction, but its arrays are not frozen: only the joint spectra
+    (``all_spectra``) are write-protected, and a caller that writes into
+    ``h0``, ``v`` or another array attribute changes what every later
+    reading sees.  The factorization fixes the auxiliary block sizes n_plus
+    and n_minus; either block may be empty, in which case the corresponding
+    transfer matrix is 0x0 with trace zero.
     """
 
     def __init__(self, h0, factorization: SignedFactorization):

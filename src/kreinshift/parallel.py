@@ -1,37 +1,14 @@
-"""Deterministic thread-pool helper.
+"""An ordered map that no module of the package calls.
 
-KREIN_SHIFT_THREADS caps the worker count (0 or unset means auto).  Tasks
-are pure; results are collected in submission order, so output is identical
-at any thread count.
+Every grid is read as batched numpy arrays in one thread.  The name stays
+because ``bench/spans.py`` imports and wraps ``ordered_map``.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-__all__ = ["thread_count", "ordered_map"]
-
-ENV_VAR = "KREIN_SHIFT_THREADS"
+__all__ = ["ordered_map"]
 
 
-def thread_count(explicit: int | None = None) -> int:
-    if explicit is not None and explicit > 0:
-        return explicit
-    raw = os.environ.get(ENV_VAR, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
-def ordered_map(fn, items, threads: int | None = None) -> list:
-    items = list(items)
-    n = min(thread_count(threads), max(len(items), 1))
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+def ordered_map(fn, items) -> list:
+    """``fn`` of each item, in order."""
+    return [fn(x) for x in items]

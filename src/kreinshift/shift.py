@@ -87,19 +87,30 @@ def _chunks(fam: HerglotzFamily, count: int) -> list:
     return _batches(count, 16 * fam.dim * max(fam.n_plus, fam.n_minus, 1), PROFILE_CHUNK_BYTES)
 
 
+def _projections(fam: HerglotzFamily, which: SignBlock, lams: np.ndarray):
+    """(slice, ``shift_projection``) of the block's boundary matrices at the
+    points of the 1-D array lams, one per ``_chunks`` slice: the one place
+    that forms them, so no stack of them passes PROFILE_CHUNK_BYTES."""
+    for s in _chunks(fam, lams.size):
+        yield s, shift_projection(fam.evaluate_block(which, lams[s]))
+
+
 def _ranks(fam: HerglotzFamily, lams: np.ndarray) -> tuple:
     """Ranks of the + and - shift operators at each point of the 1-D array
     lams, and whether either boundary matrix there is flagged singular:
-    each block's exclusion-zone check (H0 for +, H+ for -), then one batched
-    ``shift_projection`` per block per ``_chunks`` slice.  A flagged point
-    has no rank; callers move it or refuse it (``refuse_singular``)."""
+    each block's exclusion-zone check (H0 for +, H+ for -), then one pass
+    of ``_projections`` per block.  A flagged point has no rank; callers
+    move it or refuse it (``refuse_singular``)."""
     for which in SignBlock:
         fam.check_off_spectrum(lams, which)
-    cols = []
-    for s in _chunks(fam, lams.size):
-        plus, minus = (shift_projection(fam.evaluate_block(b, lams[s])) for b in SignBlock)
-        cols.append((plus.rank, minus.rank, plus.singular | minus.singular))
-    return tuple(np.concatenate(col) for col in zip(*cols))
+    ranks, singular = [], np.zeros(lams.size, dtype=bool)
+    for which in SignBlock:
+        rank = np.empty(lams.size, dtype=np.intp)
+        for s, sp in _projections(fam, which, lams):
+            rank[s] = sp.rank
+            singular[s] |= sp.singular
+        ranks.append(rank)
+    return (*ranks, singular)
 
 
 def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray:
@@ -111,7 +122,7 @@ def xi_operator(fam: HerglotzFamily, which: SignBlock, lam: float) -> np.ndarray
     fam._row(which)  # refuses None, which evaluate_block takes
     lams = np.array([float(lam)])
     fam.check_off_spectrum(lams, which)
-    sp = shift_projection(fam.evaluate_block(which, lams))
+    ((_, sp),) = _projections(fam, which, lams)
     refuse_singular(sp.singular, lams)
     return sp.projection[0]
 
@@ -489,21 +500,27 @@ def _shift_integral(terms, weight) -> np.ndarray:
     block, w) terms, Xi the block's shift operator, over the hull of the
     spectra of the blocks' pairs (``block_spectra``), which are the
     breakpoints of ``integrate_piecewise``; weight vectorized over lam; zero
-    when those spectra are one point."""
+    when those spectra are one point.  The integrand reads each term's
+    projections by ``_projections`` and adds them, in term order, into one
+    (points, b, b) stack, b the common size of the blocks."""
     from .quadrature import integrate_piecewise
 
     pts = _sorted_unique(np.concatenate([
         e for fam, which, _ in terms for e in fam.block_spectra(which)
     ]))
 
+    first, block, _ = terms[0]
+    size = first.n_plus if block is SignBlock.PLUS else first.n_minus
+
     def integrand(lams):
         # read without the exclusion zones of the profiles: a small
         # perturbation or coupling leaves pieces between breakpoints
         # narrower than a zone
-        return weight(lams)[:, None, None] * sum(
-            w * shift_projection(fam.evaluate_block(which, lams)).projection
-            for fam, which, w in terms
-        )
+        acc = np.zeros((lams.size, size, size), dtype=np.complex128)
+        for fam, which, w in terms:
+            for s, sp in _projections(fam, which, lams):
+                acc[s] += w * sp.projection
+        return np.multiply(weight(lams)[:, None, None], acc, out=acc)
 
     if pts.size < 2:
         return integrand(pts[:0]).sum(axis=0)  # the empty stack sums to zero

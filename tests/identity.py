@@ -18,6 +18,9 @@ checkout) and prints one line per output, ``<sha256>  <name>``:
 * ``average/2x2``, ``op-average/2x2`` and ``op-average/2x2-negative``:
   ``average``, ``op-average`` and ``op-average --s-range=-1:-0.2`` on the
   CI workflow's ``h0d.json``, ``v2.json`` and ``k2.json``
+* ``op-average/40x40`` and ``op-average/40x40-negative``: ``op-average``
+  and ``op-average --s-range=-1:-0.2`` on a seeded 40 x 40 base and full
+  40 x 40 factor, whose lam-integrals read their projections in many chunks
 * ``logm-eps/logm/seed-S``: the 240 ``logm_dissipative`` results on the
   inputs of the ``logm-eps`` workload at seeds 1-5
 * ``logm-eps/eps/seed-S``: the eps-route values and convergence records at
@@ -77,8 +80,9 @@ def _cli_output(argv, out: Path) -> str:
 
 
 def _ci_files(tmp: Path) -> None:
-    """The matrix files of the CI workflow's thread-count step, and the 2x2
-    ones of its exit-code step that the averaging commands read."""
+    """The matrix files of the CI workflow's thread-count step, the 2x2
+    ones of its exit-code step that the averaging commands read, and a
+    seeded 40 x 40 base and factor for ``op-average``."""
     import numpy as np
 
     from kreinshift.generators import (
@@ -101,6 +105,10 @@ def _ci_files(tmp: Path) -> None:
     write_matrix(tmp / "h0d.json", np.diag([0.0, 1.0]))
     write_matrix(tmp / "v2.json", np.array([[1.0, 0.4], [0.4, 1.0]]))
     write_matrix(tmp / "k2.json", np.array([[1.0, 0.0], [0.5, 1.0]]))
+    rng = np.random.default_rng(40)
+    write_matrix(tmp / "h0-40.json", random_hermitian(rng, 40))
+    k = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    write_matrix(tmp / "k-40.json", k / np.sqrt(40))
 
 
 def outputs(src: Path, tmp: Path):
@@ -134,6 +142,11 @@ def outputs(src: Path, tmp: Path):
     yield "op-average/2x2", _cli_output(["op-average", *h0d, *k2], tmp / "average.csv")
     yield "op-average/2x2-negative", _cli_output(
         ["op-average", *h0d, *k2, "--s-range=-1:-0.2"], tmp / "average.csv"
+    )
+    pair40 = ["--h0", str(tmp / "h0-40.json"), "--k", str(tmp / "k-40.json")]
+    yield "op-average/40x40", _cli_output(["op-average", *pair40], tmp / "average.csv")
+    yield "op-average/40x40-negative", _cli_output(
+        ["op-average", *pair40, "--s-range=-1:-0.2"], tmp / "average.csv"
     )
 
     from kreinshift import herglotz, oplog

@@ -614,6 +614,30 @@ class TestAverageCommands:
         assert code == 0
         assert float(out.strip().splitlines()[1].split(",")[0]) < 1e-4
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fixed 32-node Gauss-Legendre s-average misses the peak of a "
+        "narrow test function: lhs 0.052749 against the exact rhs 0.050133",
+    )
+    def test_average_narrow_gaussian(self, matrix_files, capsys):
+        code, _, _ = run_cli(
+            capsys, "average", "--h0", matrix_files["h0_diag2"], "--v", matrix_files["v39_1"],
+            "--f", "gauss:1.5,0.02",
+        )
+        assert code == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the fixed 32-node Gauss-Legendre s-average misses the peak of a "
+        "narrow test function: lhs_fro 0.062624 against rhs_fro 0.050132",
+    )
+    def test_op_average_narrow_gaussian(self, matrix_files, capsys):
+        code, _, _ = run_cli(
+            capsys, "op-average", "--h0", matrix_files["h0_diag2"], "--k",
+            matrix_files["k_lower2"], "--f", "gauss:1.5,0.02",
+        )
+        assert code == 0
+
     def test_bad_test_function_exit_2(self, matrix_files, capsys):
         code, _, err = run_cli(
             capsys,

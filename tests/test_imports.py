@@ -53,7 +53,7 @@ class TestCommandImports:
         assert {"kreinshift.herglotz", "kreinshift.shift"} <= modules
         unwanted = {
             "kreinshift.checks", "kreinshift.averaging", "kreinshift.generators",
-            "kreinshift.oplog", "kreinshift.quadrature", "numpy.ma",
+            "kreinshift.oplog", "kreinshift.quadrature", "kreinshift.parallel", "numpy.ma",
         }
         assert not modules & unwanted
 
@@ -62,12 +62,23 @@ class TestCommandImports:
         write_matrix(tmp_path / "t.json", t)
         modules = run_command(["logm", "--t", tmp_path / "t.json", "--out", tmp_path / "logm.csv"])
         assert "kreinshift.oplog" in modules
-        assert not modules & {"kreinshift.herglotz", "kreinshift.shift"}
+        assert not modules & {"kreinshift.herglotz", "kreinshift.shift", "kreinshift.parallel"}
 
     def test_check_all_imports_no_numpy_ma(self, tmp_path):
         modules = run_command(["check", "all", "--out", tmp_path / "check.txt"])
         assert "kreinshift.checks" in modules
-        assert "numpy.ma" not in modules
+        assert not modules & {"numpy.ma", "kreinshift.parallel"}
+
+    def test_averaging_commands_import_no_parallel(self, tmp_path):
+        write_matrix(tmp_path / "h0.json", np.diag([0.0, 1.0]))
+        write_matrix(tmp_path / "v.json", np.array([[1.0, 0.4], [0.4, 1.0]]))
+        write_matrix(tmp_path / "k.json", np.array([[1.0, 0.0], [0.5, 1.0]]))
+        h0 = ["--h0", tmp_path / "h0.json"]
+        for argv in (["average", *h0, "--v", tmp_path / "v.json"],
+                     ["op-average", *h0, "--k", tmp_path / "k.json"]):
+            modules = run_command([*argv, "--out", tmp_path / "out.csv"])
+            assert "kreinshift.averaging" in modules
+            assert "kreinshift.parallel" not in modules
 
     def test_package_import_loads_no_submodule(self):
         code = "import json, sys, kreinshift; print(json.dumps(sorted(sys.modules)))"

@@ -718,3 +718,56 @@ class TestBatchedProfile:
             xi_at(fam, grid[k])
         with pytest.raises(PreconditionError, match="singular"):
             xi_operator(fam, SignBlock.PLUS, grid[k])
+
+
+class TestProjectionReader:
+    """Every stack of shift projections, those of the lam-integrals
+    included, is read in ``_chunks`` slices."""
+
+    @staticmethod
+    def results():
+        """The reconstruction residual of a seeded n=12 family, and the
+        operator averaging reports of a seeded n=12 pair on [0, 1] and on
+        [-1, -0.2]; every block has size 3."""
+        from kreinshift.averaging import (
+            TestFunction,
+            operator_average_residual,
+            operator_increment_residual,
+        )
+
+        rng = np.random.default_rng(12)
+        h0 = random_hermitian(rng, 12)
+        k = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        fam = HerglotzFamily.from_potential(h0, k @ k.conj().T)
+        f = TestFunction.polynomial([0.5, 0.3, -0.2])
+        return [
+            herglotz_reconstruction_residual(fam, 1.0 + 2.0j),
+            operator_average_residual(h0, k, f),
+            operator_increment_residual(h0, k, -1.0, -0.2, f),
+        ]
+
+    def test_no_call_passes_more_points_than_a_chunk(self, monkeypatch):
+        calls = []
+        evaluate = HerglotzFamily.evaluate_block
+
+        def recorded(fam, which, z):
+            calls.append((fam, np.size(z)))
+            return evaluate(fam, which, z)
+
+        monkeypatch.setattr(HerglotzFamily, "evaluate_block", recorded)
+        # three points' worth of the (points, 12, 3) temporaries
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 3 * 16 * 12 * 3)
+        self.results()
+        assert max(n for _, n in calls) == 3
+        for fam, n in calls:
+            assert n <= shift._chunks(fam, n)[0].stop
+
+    def test_one_point_chunks_give_the_same_bits(self, monkeypatch):
+        default = self.results()
+        monkeypatch.setattr(shift, "PROFILE_CHUNK_BYTES", 1)
+        single = self.results()
+        assert single[0].hex() == default[0].hex()
+        for a, b in zip(default[1:], single[1:]):
+            assert a.residual.hex() == b.residual.hex()
+            assert a.lhs.tobytes() == b.lhs.tobytes()
+            assert a.rhs.tobytes() == b.rhs.tobytes()
