@@ -7,36 +7,25 @@ Commands:
   average     weak-pairing averaging identity for a linear path
   op-average  operator-valued averaging identity for a factor K
 
-Exit codes: 0 success, 1 mathematical check or convergence failure (an
-``average`` or ``op-average`` result that overflows double precision
-included, a ``logm`` argument past the range of the quadrature logarithm,
-whose norm overflows, whose ``--branch ln`` eigendecomposition fails or
-has an eigenvalue that is not finite, or whose round-trip residual is not
-finite, and an ``xi`` pair whose
-H0 + V or whose eigenvalues overflow, for example
-V = 1e308 * [[1, 0.9], [0.9, 1]], whose eigenvalues are finite but spread
-past the double range, as for H0 = diag(-1e308, 1e308), whose
-eigendecomposition LAPACK does not bring to convergence, or whose
-determinant route starts at a height 4 ||K||_F^2 that overflows, as for
-V = [[1.7e308]]), 2 usage or parse error: a malformed or
-unknown flag, grid, s-range, test function (a non-finite bound or
-parameter included) or ``check`` seed (a negative one included), an
-unreadable or non-Hermitian matrix file
-or one with non-numeric (e.g. boolean) entries or dim, a tolerance that
-is not finite and positive, or an output file that cannot be opened.
-Each command takes only the flags it reads:
-``xi`` its ``--rank-tol``, ``logm`` its ``--rel-tol``.  The output file is
-opened (or refused) before any work is done.  Every grid is evaluated in
-one process and thread, as batched numpy arrays.  Each command runs
-numpy's OpenBLAS at one thread and gives the caller's thread count back
-after, so its output is the same bytes at any OPENBLAS_NUM_THREADS; under
-a BLAS without an OpenBLAS thread setter that is not promised.
+Exit codes: 0 success, 1 a mathematical check or convergence failure (a
+result that overflows double precision included), 2 a usage or parse error;
+README lists the cases.  The parser refuses every malformed argument, a
+flag value or a matrix file, on one ``error:`` line with exit 2 before the
+``--out`` file is opened; it reads the files after the flags, so a
+malformed flag is refused before any file is read.  A dimension mismatch
+between two files is refused, with exit 2, after ``--out`` is opened.  Each
+command takes only the flags it reads: ``xi`` its ``--rank-tol``, ``logm``
+its ``--rel-tol`` (which ``--branch ln`` ignores, as it does ``--anti``).
+Every grid is evaluated in one process and thread, as batched numpy arrays.
+Each command runs numpy's OpenBLAS at one thread and gives the caller's
+thread count back after, so its output is the same bytes at any
+OPENBLAS_NUM_THREADS; under a BLAS without an OpenBLAS thread setter that
+is not promised.
 
 Each command imports only the layers it runs (``xi`` the family and the
 profiles, ``logm`` the logarithm, ``check`` the suites, ``average`` and
 ``op-average`` the averaging identities); the module itself imports only
-what every command shares, so no process pays to import the layers of
-the other commands.
+what every command shares.
 """
 
 from __future__ import annotations
@@ -49,32 +38,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import KreinShiftError, ParseError, PreconditionError
+from .errors import KreinShiftError, ParseError
 from .io import format_float, read_matrix, write_csv
 from .matkit import _entry_scale, check_tolerance, expm, frobenius, hermitian_part, is_hermitian
 
 if TYPE_CHECKING:
     from .averaging import TestFunction
-    from .herglotz import HerglotzFamily
 
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_USAGE = 2
 
 
-def _check_flag(name: str, value: float) -> None:
-    """Refuse a tolerance flag that is not finite and positive."""
-    try:
-        check_tolerance(name, value)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _parse_grid(spec: str, fam: HerglotzFamily) -> np.ndarray:
+def _parse_grid(spec: str) -> np.ndarray | None:
+    """The --grid points, or None for ``auto``, resolved by ``_cmd_xi``."""
     if spec.lower() == "auto":
-        from .shift import auto_grid
-
-        return auto_grid(fam)
+        return None
     parts = spec.split(":")
     if len(parts) != 3:
         raise ParseError(f"grid must be min:max:count or auto, got {spec!r}")
@@ -129,7 +108,7 @@ def _load_hermitian(path, what: str) -> np.ndarray:
     return hermitian_part(m)
 
 
-def _require_finite(names, values) -> None:
+def _refuse_non_finite(names, values) -> None:
     """Refuse the named values when arithmetic on finite input left one
     that is not finite."""
     bad = [f"{name} {format_float(x)}" for name, x in zip(names, values) if not math.isfinite(x)]
@@ -139,7 +118,7 @@ def _require_finite(names, values) -> None:
 
 def _write_finite_row(stream, header, row) -> None:
     """Write a one-row CSV, refused when a value is not finite."""
-    _require_finite(header, row)
+    _refuse_non_finite(header, row)
     write_csv(stream, header, [[format_float(x) for x in row]])
 
 
@@ -214,15 +193,13 @@ def _output(args):
 
 def _cmd_xi(args, stream) -> int:
     from .herglotz import HerglotzFamily
-    from .shift import compute_profile
+    from .shift import auto_grid, compute_profile
 
-    _check_flag("rank_tol", args.rank_tol)
-    h0 = _load_hermitian(args.h0, "base")
-    v = _load_hermitian(args.v, "perturbation")
+    h0, v = args.h0, args.v
     if h0.shape != v.shape:
         raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v.shape[0]}")
     fam = HerglotzFamily.from_potential(h0, v, args.rank_tol)
-    grid = _parse_grid(args.grid, fam)
+    grid = auto_grid(fam) if args.grid is None else args.grid
     profile = compute_profile(fam, grid, include_det=True)
 
     columns = ("grid", "xi", "xi_plus", "xi_minus", "xi_oracle", "xi_det")
@@ -261,10 +238,8 @@ def _cmd_xi(args, stream) -> int:
 def _cmd_logm(args, stream) -> int:
     from .oplog import Branch, logm_antidissipative, logm_dissipative, logm_oracle_diag
 
-    _check_flag("rel_tol", args.rel_tol)
-    t = read_matrix(args.t)
-    branch = Branch.LN if args.branch == "ln" else Branch.LOG
-    if branch is Branch.LN:
+    t = args.t
+    if args.branch == "ln":
         # principal-branch diagnostic route through the eigendecomposition
         result = logm_oracle_diag(t, Branch.LN)
     elif args.anti:
@@ -276,7 +251,7 @@ def _cmd_logm(args, stream) -> int:
     scale = _entry_scale(t)
     with np.errstate(over="ignore", invalid="ignore"):
         residual = frobenius((expm(result) - t) * scale) / max(frobenius(t * scale), 1e-300)
-    _require_finite(["expm-roundtrip-relative-residual"], [residual])
+    _refuse_non_finite(["expm-roundtrip-relative-residual"], [residual])
     header = ["row", "col", "re", "im"]
     rows = [
         [str(i), str(j), format_float(result[i, j].real), format_float(result[i, j].imag)]
@@ -304,35 +279,26 @@ def _cmd_check(args, stream) -> int:
 def _cmd_average(args, stream) -> int:
     from .averaging import PerturbationPath, averaged_pairing_lhs, averaged_pairing_rhs
 
-    h0 = _load_hermitian(args.h0, "base")
-    v1 = _load_hermitian(args.v, "path direction")
+    h0, v1 = args.h0, args.v
     if h0.shape != v1.shape:
         raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, V is {v1.shape[0]}")
-    s1, s2 = _parse_srange(args.s_range)
-    f = _parse_f(args.f)
-    path = PerturbationPath(np.zeros_like(h0), v1, s1, s2)
+    path = PerturbationPath(np.zeros_like(h0), v1, *args.s_range)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = averaged_pairing_lhs(h0, path, f)
-        rhs = averaged_pairing_rhs(h0, path, f)
+        lhs = averaged_pairing_lhs(h0, path, args.f)
+        rhs = averaged_pairing_rhs(h0, path, args.f)
     resid = abs(lhs - rhs)
     _write_finite_row(stream, ["lhs", "rhs", "residual"], [lhs, rhs, resid])
     return EXIT_OK if resid < 1e-4 * (1.0 + abs(lhs)) else EXIT_MATH
 
 
 def _cmd_op_average(args, stream) -> int:
-    from .averaging import operator_average_residual, operator_increment_residual
+    from .averaging import operator_increment_residual
 
-    h0 = _load_hermitian(args.h0, "base")
-    k = read_matrix(args.k)
+    h0, k = args.h0, args.k
     if k.shape[0] != h0.shape[0]:
         raise ParseError(f"dimension mismatch: H0 is {h0.shape[0]}, K has {k.shape[0]} rows")
-    f = _parse_f(args.f)
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.s_range:
-            s1, s2 = _parse_srange(args.s_range)
-            rep = operator_increment_residual(h0, k, s1, s2, f)
-        else:
-            rep = operator_average_residual(h0, k, f)
+        rep = operator_increment_residual(h0, k, *args.s_range, args.f)
         row = [rep.residual, frobenius(rep.lhs), frobenius(rep.rhs)]
     _write_finite_row(stream, ["residual", "lhs_fro", "rhs_fro"], row)
     return EXIT_OK if rep.residual < 1e-4 else EXIT_MATH
@@ -366,77 +332,108 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _add_out(p) -> None:
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
+def _arg(parse):
+    """The argparse type of ``parse``, refusing by the message of its ValueError."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ParseError where argparse prints the usage and exits, and
+    reads the matrix files last, so that a malformed or unknown flag is
+    refused before any file is read."""
+
+    files = ()  # (action, reader) of each matrix-file argument
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        # arguments left over are refused as unrecognized by parse_args
+        for action, read in [] if extras else self.files:
+            try:
+                setattr(namespace, action.dest, read(getattr(namespace, action.dest)))
+            except ValueError as exc:
+                self.error(f"argument {action.option_strings[0]}: {exc}")
+        return namespace, extras
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The parser of every command, built per call, so that it reads files
+    with this module's ``read_matrix`` at that time."""
+    ap = _Parser(
         prog="kreinshift",
         description="Spectral shift operators and functions for Hermitian matrix pairs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    test_functions = "poly:c0,c1,... | gauss:mu,sigma | imres:re,im"
+
+    def matrix(p, flag, what=None, help=None):
+        read = read_matrix if what is None else lambda path: _load_hermitian(path, what)
+        p.files = (*p.files, (p.add_argument(flag, required=True, help=help), read))
 
     p = sub.add_parser("xi", help="shift-function profile of a pair (H0, V) as CSV")
-    p.add_argument("--h0", required=True, help="matrix file for the base matrix")
-    p.add_argument("--v", required=True, help="matrix file for the perturbation")
-    p.add_argument("--grid", default="auto", help="min:max:count or auto")
+    matrix(p, "--h0", "base", "matrix file for the base matrix")
+    matrix(p, "--v", "perturbation", "matrix file for the perturbation")
+    p.add_argument("--grid", type=_arg(_parse_grid), default="auto", help="min:max:count or auto")
     p.add_argument(
-        "--rank-tol", dest="rank_tol", type=float, default=1e-12,
+        "--rank-tol", dest="rank_tol", type=_arg(lambda x: check_tolerance("rank_tol", float(x))),
+        default=1e-12,
         help="eigenvalues of V below this times its norm are dropped from its factorization",
     )
-    _add_out(p)
     p.set_defaults(func=_cmd_xi)
 
     p = sub.add_parser("logm", help="logarithm of a dissipative matrix as CSV")
-    p.add_argument("--t", required=True, help="matrix file for the argument")
+    matrix(p, "--t", help="matrix file for the argument")
     p.add_argument(
-        "--branch",
-        choices=("log", "ln"),
-        default="log",
+        "--branch", choices=("log", "ln"), default="log",
         help="log: cut along the negative imaginary axis (integral route); "
         "ln: principal branch via the eigendecomposition route",
     )
     p.add_argument("--anti", action="store_true", help="argument is anti-dissipative")
     p.add_argument(
-        "--rel-tol", dest="rel_tol", type=float, default=1e-11,
-        help="relative tolerance of the quadrature logarithm",
+        "--rel-tol", dest="rel_tol", type=_arg(lambda x: check_tolerance("rel_tol", float(x))),
+        default=1e-11, help="relative tolerance of the quadrature logarithm",
     )
-    _add_out(p)
     p.set_defaults(func=_cmd_logm)
 
     p = sub.add_parser("check", help="run seeded verification suites")
     p.add_argument("suite", type=_suite_name, help="a suite name, or all")
     p.add_argument("--seed", type=_seed, default=None, help="a non-negative integer")
-    _add_out(p)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("average", help="weak-pairing averaging identity for V(s) = s V")
-    p.add_argument("--h0", required=True)
-    p.add_argument("--v", required=True, help="matrix file for the path direction")
-    p.add_argument("--s-range", dest="s_range", default="0:1", help="a:b")
-    p.add_argument("--f", default="poly:0,1", help="poly:c0,c1,... | gauss:mu,sigma | imres:re,im")
-    _add_out(p)
+    matrix(p, "--h0", "base")
+    matrix(p, "--v", "path direction", "matrix file for the path direction")
+    p.add_argument("--s-range", dest="s_range", type=_arg(_parse_srange), default="0:1", help="a:b")
+    p.add_argument("--f", type=_arg(_parse_f), default="poly:0,1", help=test_functions)
     p.set_defaults(func=_cmd_average)
 
     p = sub.add_parser("op-average", help="operator averaging identity for a factor K")
-    p.add_argument("--h0", required=True)
-    p.add_argument("--k", required=True, help="matrix file for the factor K")
-    p.add_argument("--s-range", dest="s_range", default=None, help="a:b for the increment form")
-    p.add_argument("--f", default="poly:0,1")
-    _add_out(p)
+    matrix(p, "--h0", "base")
+    matrix(p, "--k", help="matrix file for the factor K")
+    p.add_argument("--s-range", dest="s_range", type=_arg(_parse_srange), default="0:1", help="a:b")
+    p.add_argument("--f", type=_arg(_parse_f), default="poly:0,1")
     p.set_defaults(func=_cmd_op_average)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # only from --help, once the usage is printed
+            return EXIT_OK
         with _one_blas_thread(), _output(args) as stream:
             return args.func(args, stream)
     except KreinShiftError as exc:

@@ -45,11 +45,12 @@ def _require_finite(name: str, points) -> None:
         raise PreconditionError(f"{name}={points[bad].ravel()[0].item()!r} is not finite")
 
 
-def check_tolerance(name: str, value: float) -> None:
+def check_tolerance(name: str, value: float) -> float:
     """Refuse a tolerance that is not a finite positive number: an infinite
     or NaN one would switch off the criterion it sets."""
     if not (math.isfinite(value) and value > 0):
         raise PreconditionError(f"{name} must be finite and positive")
+    return value
 
 
 def as_matrix(a) -> np.ndarray:

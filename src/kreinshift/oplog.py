@@ -39,11 +39,12 @@ Both logarithms also take a stack of matrices (m, n, n) and return the
 stack of their logarithms from one integral: one batched SVD and one
 batched eigendecomposition of the imaginary parts check every item (an
 error names the offending item), the fold and the mesh come from the
-largest norm and the smallest singular value of the stack, and the
-quadrature holds each item to the tolerance it would get alone.  A stack
-of more than STACK_ENTRIES entries is taken in pieces, one integral each,
-which bounds the memory of a round.  A single matrix is integrated as a
-stack of one.
+largest norm and the smallest singular value of the stack, and each item
+is held to the tolerance a lone call sets, on one mesh and MAX_PANELS
+budget for all: a stack can be refused where each item converges alone.
+A stack of more than STACK_ENTRIES entries is taken in pieces, one
+integral each, which bounds the memory of a round.  A single matrix is
+integrated as a stack of one.
 
 The induced branch for scalars has its cut along the negative imaginary
 axis, so negative real arguments carry imaginary part +i*pi.  The principal

@@ -246,7 +246,7 @@ class TestXiCommand:
         h0 = matrix_files["nonherm_huge"]
         code, out, err = run_cli(capsys, "xi", "--h0", h0, "--v", matrix_files["v39_1"])
         assert code == 2
-        assert out == "" and err == f"error: base matrix in {h0} is not Hermitian\n"
+        assert out == "" and err == f"error: argument --h0: base matrix in {h0} is not Hermitian\n"
 
     def test_overflowing_pair_exit_1_on_one_line(self, matrix_files, capsys):
         # H0 + V is past the double range: one error line and no warning
@@ -552,7 +552,9 @@ def test_infinite_tolerance_exit_2(matrix_files, capsys, command, flag, name, va
     }[command]
     code, out, err = run_cli(capsys, command, *inputs, f"{flag}={value}")
     assert code == 2
-    assert out == "" and err.splitlines() == [f"error: {name} must be finite and positive"]
+    assert out == "" and err.splitlines() == [
+        f"error: argument {flag}: {name} must be finite and positive"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -568,6 +570,73 @@ def test_flags_a_command_does_not_read_are_refused(matrix_files, capsys, command
     code, out, err = run_cli(capsys, command, *inputs, f"{flag}=1")
     assert code == 2
     assert out == "" and "unrecognized arguments" in err
+
+
+# malformed command lines: H0, V, T and K stand for well-formed matrix files
+MALFORMED = {
+    "no-command": [],
+    "unknown-command": ["bogus"],
+    "missing-v": ["xi", "--h0", "H0"],
+    "unknown-flag": ["xi", "--h0", "H0", "--v", "V", "--eps0", "1"],
+    "rank-tol-abc": ["xi", "--h0", "H0", "--v", "V", "--rank-tol", "abc"],
+    "rank-tol-inf": ["xi", "--h0", "H0", "--v", "V", "--rank-tol", "inf"],
+    "grid-decreasing": ["xi", "--h0", "H0", "--v", "V", "--grid", "1:0:3"],
+    "grid-bogus": ["xi", "--h0", "H0", "--v", "V", "--grid", "bogus"],
+    "branch-foo": ["logm", "--t", "T", "--branch", "foo"],
+    "rel-tol-abc": ["logm", "--t", "T", "--rel-tol", "abc"],
+    "check-nonsense": ["check", "nonsense"],
+    "seed-negative": ["check", "all", "--seed", "-1"],
+    "seed-x": ["check", "all", "--seed", "x"],
+    "s-range-decreasing": ["average", "--h0", "H0", "--v", "V", "--s-range", "1:0"],
+    "f-bogus": ["average", "--h0", "H0", "--v", "V", "--f", "bogus:1"],
+    "f-infinite-width": ["op-average", "--h0", "H0", "--k", "K", "--f", "gauss:0,inf"],
+    "missing-file": ["xi", "--h0", "missing.json", "--v", "V"],
+}
+
+
+class TestOneParsePath:
+    @staticmethod
+    def argv(matrix_files, words):
+        files = {"H0": "h0_diag2", "V": "v39_1", "T": "t_2i", "K": "k_lower2"}
+        return [matrix_files[files[w]] if w in files else w for w in words]
+
+    @pytest.mark.parametrize("words", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_exit_2_on_one_error_line(self, matrix_files, capsys, words):
+        code, out, err = run_cli(capsys, *self.argv(matrix_files, words))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("case", ["rank-tol-abc", "missing-file"])
+    def test_refused_command_leaves_out_file_as_it_was(self, matrix_files, tmp_path, capsys, case):
+        dest = tmp_path / "out.csv"
+        dest.write_bytes(b"lambda,xi\n0.5,1.0\n")
+        argv = self.argv(matrix_files, MALFORMED[case]) + ["--out", str(dest)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert dest.read_bytes() == b"lambda,xi\n0.5,1.0\n"
+
+    def test_flag_refused_before_any_file_is_read(self, capsys, monkeypatch):
+        def never(path):
+            raise AssertionError(f"{path} read before the flags were parsed")
+
+        monkeypatch.setattr(cli, "read_matrix", never)
+        code, out, err = run_cli(
+            capsys, "xi", "--h0", "missing.json", "--v", "missing.json", "--grid", "bogus"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --grid: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["xi", "--help"]])
+    def test_help_exit_0_on_stdout(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: kreinshift")
+
+    def test_op_average_s_range_defaults_to_0_1(self, matrix_files, capsys):
+        files = ["--h0", matrix_files["h0_diag2"], "--k", matrix_files["k_lower2"]]
+        code, default, _ = run_cli(capsys, "op-average", *files)
+        assert code == 0
+        assert run_cli(capsys, "op-average", *files, "--s-range", "0:1") == (0, default, "")
 
 
 class TestAverageCommands:

@@ -572,6 +572,23 @@ class TestStackedEpsRoute:
         assert rec.route == "eps" and rec.converged
         assert frobenius(val - direct) <= 1e-6
 
+    def test_refused_stack_converges_one_height_at_a_time(self):
+        # 1e-8 diameters from an eigenvalue of H0: the stack of all 20
+        # heights shares one mesh and panel budget and is refused (residual
+        # estimate 2.0e-10 in item 15), though each height converges alone;
+        # the one-height-at-a-time fallback gives the value in 17 steps
+        rng = np.random.default_rng(20)
+        n = int(rng.integers(2, 9))
+        r = int(rng.integers(1, n + 1))
+        h0 = random_hermitian(rng, n)
+        v = random_indefinite(rng, n, r)
+        fam = HerglotzFamily.from_potential(h0, 10.0 ** rng.uniform(-6, 2) * v)
+        lam = -0.5933851940286254
+        val, rec = boundary_log(fam, SignBlock.PLUS, lam, route="eps")
+        direct, _ = boundary_log(fam, SignBlock.PLUS, lam, route="direct")
+        assert rec.route == "eps" and rec.converged
+        assert frobenius(val - direct) <= 1e-6
+
     def test_a_stack_that_raises_is_taken_one_height_at_a_time(self, monkeypatch):
         # a stacked logarithm that fails (as one might at a height past the
         # stopping step) must not turn a converged value into an error
