@@ -17,13 +17,13 @@ so that every pole lies at least pi/2 from the real x-axis whatever its
 modulus (Trefethen & Weideman, SIAM Review 56, 2014); on the tail it is
 u = x - x_L past the end x_L = delta + ln(L/delta) of the middle part.  All
 parts are one batched LU solve per round of the quadrature, one system
-per node x: (a(x) T + b(x) I) / w(x) against I - T, with the node's
-weight w = scale * Jacobian / (a + b) folded into the matrix, so that one
-matmul of the coefficients (a/w, b/w) over the rows [T; I] forms every
-system.  The variable is scaled by a power of two that brings L within a
-factor sqrt(2) of 1, so the folded panel keeps its digits however large
-||T|| is.  The initial mesh is the head, panels of width ln 2 on the middle
-part (dyadic points delta * 2^k in mu) and the folded tail: about
+per node x: a(x) T + b(x) I against I - T, with one matmul of the
+coefficients (a, b) over the rows [T; I] forming every system, and the
+solution scaled by the node's weight w = scale * Jacobian / (a + b).  The
+variable is scaled by a power of two that brings L within a factor
+sqrt(2) of 1, so the folded panel keeps its digits however large ||T||
+is.  The initial mesh is the head, panels of width ln 2 on the middle part
+(dyadic points delta * 2^k in mu) and the folded tail: about
 log2(L/delta) + 2 panels (log2(8 cond(T)) + 2 when smin(T) <= 1 <= 4||T||),
 on which nearly every logarithm converges in one round.  Each further
 round bisects panels at their midpoints, within a budget of MAX_PANELS =
@@ -227,15 +227,17 @@ def _half_line(stack: np.ndarray, svals: np.ndarray, rel_tol: float) -> np.ndarr
         a = np.where(tail, xs - x_fold, 1.0)
         y = np.where(tail, 1.0, y)
         b = 1j * scale * y
-        # the node's weight w = scale * Jacobian / (a + b) divides the matrix
-        # a T + b I rather than multiplying the solution; 1/w is at most
-        # 2 / min(smin(T), 1) + 1 in modulus, within the mesh's range
-        inv_w = (a + b) / (scale * np.where(head, 1.0, y))
         coef = np.empty((xs.size, 2), complex)
-        np.multiply(a, inv_w, out=coef[:, 0])
-        np.multiply(b, inv_w, out=coef[:, 1])
+        coef[:, 0] = a
+        coef[:, 1] = b
         shifted = (coef @ basis).reshape(xs.size, count, n, n)
-        return np.linalg.solve(shifted, residue[None])
+        out = np.linalg.solve(shifted, residue[None])
+        # the node's weight w = scale * Jacobian / (a + b) scales the
+        # solution, not the matrix, so the solve sees a T + b I as it is;
+        # one in-place multiply over the rows of the nodes
+        flat = out.reshape(xs.size, -1)
+        flat *= (scale * np.where(head, 1.0, y) / (a + b))[:, None]
+        return flat.reshape(out.shape)
 
     # [0, delta], panels of width ln 2 in x (dyadic in mu) up to the fold,
     # then the folded tail; in x every pole of the middle part lies at least
