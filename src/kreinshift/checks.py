@@ -1,17 +1,21 @@
 """Seeded verification suites.
 
-``SUITES`` maps each suite name to its checks in report order, and
-``run_suite`` concatenates their lines.  A check takes only the suite seed:
-it draws a fixed number of instances from a generator seeded by the seed
-plus a fixed offset, measures a residual, and compares it against the
-pinned bound.  Reports are plain text with fixed float formatting, so a
-given (suite, seed) pair produces byte-identical output on every run.
-Seeds are non-negative integers.
+``SUITES`` maps each suite name to its checks in report order.
+``run_suites`` runs the checks of the named suites on a pool of worker
+processes, one task per check and one worker per CPU this process may run
+on (at most one per check), and concatenates their lines in suite order;
+``run_suite`` is its one-suite call.  A check takes only the suite seed: it
+draws a fixed number of instances from a generator seeded by the seed plus
+a fixed offset, measures a residual, and compares it against the pinned
+bound.  Reports are plain text with fixed float formatting, so a given
+(suite, seed) pair produces byte-identical output on every run, at any
+worker count.  Seeds are non-negative integers.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +59,7 @@ from .shift import (
     xi_via_det,
 )
 
-__all__ = ["CheckLine", "SuiteReport", "SUITES", "SUITE_NAMES", "run_suite"]
+__all__ = ["CheckLine", "SuiteReport", "SUITES", "SUITE_NAMES", "run_suite", "run_suites"]
 
 DEFAULT_SEED = 1729
 
@@ -566,10 +570,55 @@ SUITES: dict[str, tuple] = {
 SUITE_NAMES = tuple(SUITES)
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
-    """The report of suite ``name``; raises KeyError for an unknown name
-    and PreconditionError for a negative seed, which the generators of the
-    checks (seeded by the seed plus an offset) cannot all take."""
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_check(name: str, index: int, seed: int) -> list:
+    """The lines of check ``index`` of suite ``name``, looked up in the
+    worker's own ``SUITES``."""
+    return SUITES[name][index](seed)
+
+
+def run_suites(names, seed: int = DEFAULT_SEED) -> list:
+    """The reports of the suites ``names``, in order; raises KeyError for an
+    unknown name and PreconditionError for a negative seed, which the
+    generators of the checks (seeded by the seed plus an offset) cannot all
+    take.
+
+    Each check is one task of a process pool with one worker per usable
+    CPU, at most one per check.  Where the platform offers it the workers
+    are forked, so they share this process's imported suites, warning
+    filters and BLAS thread setting.  Lines are read back in suite order,
+    so the first check that raises re-raises here; the pending checks are
+    then cancelled, and no worker outlives the call.
+    """
     if seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
-    return SuiteReport(name, seed, [line for check in SUITES[name] for line in check(seed)])
+    reports = [SuiteReport(name, seed) for name in names]
+    tasks = [(rep, i) for rep in reports for i in range(len(SUITES[rep.name]))]
+    if not tasks:
+        return reports
+    # imported here: the other commands, and the import of the CLI, need no pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(
+        min(len(tasks), _usable_cpus()), mp_context=multiprocessing.get_context(method)
+    )
+    try:
+        futures = [(rep, pool.submit(_run_check, rep.name, i, seed)) for rep, i in tasks]
+        for rep, future in futures:
+            rep.lines.extend(future.result())
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return reports
+
+
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteReport:
+    """The report of suite ``name``, as ``run_suites`` gives it."""
+    return run_suites([name], seed)[0]

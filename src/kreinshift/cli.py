@@ -16,16 +16,17 @@ malformed flag is refused before any file is read.  A dimension mismatch
 between two files is refused, with exit 2, after ``--out`` is opened.  Each
 command takes only the flags it reads: ``xi`` its ``--rank-tol``, ``logm``
 its ``--rel-tol`` (which ``--branch ln`` ignores, as it does ``--anti``).
-Every grid is evaluated in one process and thread, as batched numpy arrays.
-Each command runs numpy's OpenBLAS at one thread and gives the caller's
-thread count back after, so its output is the same bytes at any
-OPENBLAS_NUM_THREADS; under a BLAS without an OpenBLAS thread setter that
-is not promised.
+Every grid is evaluated in one thread, as batched numpy arrays; ``check``
+runs its checks on one worker process per usable CPU and reports them in
+suite order.  Each command runs numpy's OpenBLAS at one thread and gives
+the caller's thread count back after, so its output is the same bytes at
+any OPENBLAS_NUM_THREADS and, for ``check``, at any worker count; under a
+BLAS without an OpenBLAS thread setter that is not promised.
 
 Each command imports only the layers it runs (``xi`` the family and the
-profiles, ``logm`` the logarithm, ``check`` the suites, ``average`` and
-``op-average`` the averaging identities); the module itself imports only
-what every command shares.
+profiles, ``logm`` the logarithm, ``check`` the suites and the process
+pool, ``average`` and ``op-average`` the averaging identities); the module
+itself imports only what every command shares.
 """
 
 from __future__ import annotations
@@ -268,7 +269,7 @@ def _cmd_check(args, stream) -> int:
 
     names = list(checks.SUITE_NAMES) if args.suite == "all" else [args.suite]
     seed = checks.DEFAULT_SEED if args.seed is None else args.seed
-    reports = [checks.run_suite(name, seed) for name in names]
+    reports = checks.run_suites(names, seed)
     overall = all(r.ok for r in reports)
     for rep in reports:
         stream.write(rep.render() + "\n")

@@ -38,10 +38,10 @@ def write_matrix(path, m: np.ndarray) -> None:
 
 def read_matrix(path) -> np.ndarray:
     # ValueError: malformed JSON, text that is not UTF-8, or an integer with
-    # more digits than Python converts
+    # more digits than Python converts; RecursionError: arrays nested too deep
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot parse matrix file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "entries" not in doc:
         raise ParseError(f"matrix file {path} lacks dim/entries fields")

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,9 +12,9 @@ import pytest
 
 import kreinshift
 from kreinshift import checks, cli
-from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, run_suite
+from kreinshift.checks import DEFAULT_SEED, SUITE_NAMES, SUITES, SuiteReport, run_suite
 from kreinshift.cli import main
-from kreinshift.errors import KreinShiftError, PreconditionError
+from kreinshift.errors import KreinShiftError, ParseError, PreconditionError
 from kreinshift.generators import random_hermitian, random_indefinite
 from kreinshift.herglotz import boundary_log
 from kreinshift.io import format_float, read_matrix, write_matrix
@@ -73,8 +74,6 @@ class TestMatrixFiles:
         assert np.array_equal(read_matrix(p).view(np.float64), tricky.view(np.float64))
 
     def test_parse_failures(self, tmp_path):
-        from kreinshift.errors import ParseError
-
         bad = tmp_path / "bad.json"
         bad.write_text("not json at all")
         with pytest.raises(PreconditionError):
@@ -106,6 +105,16 @@ class TestMatrixFiles:
         code, out, err = run_cli(capsys, "logm", "--t", str(p))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_deeply_nested_file_refused_with_exit_2(self, tmp_path, capsys):
+        # nesting past the interpreter's recursion limit fails the JSON decoder
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ParseError, match="cannot parse matrix file"):
+            read_matrix(p)
+        code, out, err = run_cli(capsys, "logm", "--t", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: argument --t: cannot parse matrix file") and err.count("\n") == 1
 
     def test_format_float_round_trip(self):
         for x in (0.1, -1e-308, 2.0**-52, 1e300, -0.0, 123456789.123456789):
@@ -868,11 +877,70 @@ class TestCheckCommand:
 
     def test_unopenable_out_file_refused_before_work(self, tmp_path, capsys, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("run_suite called before the --out file was opened")
+            raise AssertionError("run_suites called before the --out file was opened")
 
-        monkeypatch.setattr(checks, "run_suite", never)
+        monkeypatch.setattr(checks, "run_suites", never)
         dest = tmp_path / "missing-dir" / "x.txt"
         code, out, err = run_cli(capsys, "check", "all", "--out", str(dest))
         assert code == 2
         assert out == "" and err.startswith("error: cannot open output file")
         assert not dest.exists()
+
+
+class TestPooledChecks:
+    """The checks run on a pool of worker processes and give the report of
+    the sequential loop, at any worker count, with no worker left over."""
+
+    @staticmethod
+    def sequential(name, seed):
+        return SuiteReport(name, seed, [line for check in SUITES[name] for line in check(seed)])
+
+    @pytest.mark.parametrize("seed", [1729, 1])
+    def test_every_suite_and_all_match_the_sequential_loop(self, capsys, seed):
+        # a suite of one check runs on one worker, all on one per usable CPU
+        with cli._one_blas_thread():
+            reference = [self.sequential(name, seed) for name in SUITE_NAMES]
+            for rep in reference:
+                assert run_suite(rep.name, seed) == rep
+        code, out, err = run_cli(capsys, "check", "all", "--seed", str(seed))
+        assert code == 0 and err == ""
+        assert out == "".join(rep.render() + "\n" for rep in reference) + "overall: PASS\n"
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "name, cpus, workers", [("example39", 4, 1), ("average", 3, 2), ("logm", 2, 2)]
+    )
+    def test_one_worker_per_usable_cpu_at_most_one_per_check(
+        self, monkeypatch, name, cpus, workers
+    ):
+        import concurrent.futures
+
+        sizes = []
+        pool_class = concurrent.futures.ProcessPoolExecutor
+
+        def pool(max_workers, **kwargs):
+            sizes.append(max_workers)
+            return pool_class(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(checks, "_usable_cpus", lambda: cpus)
+        run_suite(name, 1)
+        assert sizes == [workers]
+
+    def test_first_failing_check_in_suite_order_exits_1(self, capsys, monkeypatch):
+        def first(seed):
+            raise KreinShiftError("a trace check failed on purpose")
+
+        def later(seed):
+            raise KreinShiftError("a later check failed on purpose")
+
+        trace = list(SUITES["trace"])
+        trace[1] = first
+        monkeypatch.setitem(SUITES, "trace", tuple(trace))
+        # a later check fails too; the error is the first in suite order,
+        # whichever worker finished first
+        monkeypatch.setitem(SUITES, "example39", (later,))
+        code, out, err = run_cli(capsys, "check", "all")
+        assert code == 1 and out == ""
+        assert err == "error: a trace check failed on purpose\n"
+        assert multiprocessing.active_children() == []

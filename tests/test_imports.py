@@ -80,6 +80,12 @@ class TestCommandImports:
             assert "kreinshift.averaging" in modules
             assert "kreinshift.parallel" not in modules
 
+    def test_cli_import_loads_no_process_pool(self):
+        # only the check command runs a pool; the import is every command's start-up
+        code = "import json, sys, kreinshift.cli; print(json.dumps(sorted(sys.modules)))"
+        modules = fresh_modules(code)
+        assert [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
+
     def test_package_import_loads_no_submodule(self):
         code = "import json, sys, kreinshift; print(json.dumps(sorted(sys.modules)))"
         modules = fresh_modules(code)
